@@ -39,6 +39,9 @@ echo "==> durable recovery acceptance (release)"
 # and certified through the naive-evaluator validate() path. The debug
 # workspace pass above covers the scaled-down variant.
 cargo test -q --release -p oblisched-suite --test durable_recovery
+# The daemon SIGKILL/restart suite in release, where its sparse-tier case
+# runs (n = 2500, a snapshot mid-trace plus a WAL tail); debug skips it.
+cargo test -q --release -p oblisched_server --test restart_recovery
 
 echo "==> sparse dynamic certification + churn acceptance (release)"
 # The interleaving proptest — the sparse-backed DynamicScheduler never
@@ -169,6 +172,22 @@ echo "==> experiment E11 (backend tiers: dense vs sparse vs parallel-sparse)"
 # evaluator and thread-count determinism of the parallel scheduler, and
 # reports the tier wall times side by side.
 cargo run -q -p oblisched_bench --bin experiments --release -- --exp e11
+
+echo "==> benchmark harness tests (release)"
+# The end-to-end benchmark's harness is a standalone package outside the
+# workspace, so the workspace test run above never builds it.
+cargo test -q --release --offline --manifest-path benchmark/harness/Cargo.toml
+
+echo "==> README perf table matches the newest BENCH file"
+# The "Performance" table between the perf-table markers is generated by
+# `perf --readme-table` from the newest committed BENCH_<date>.json; paste
+# the command's output between the markers after committing a new report.
+newest_bench="$(ls BENCH_*.json | LC_ALL=C sort | tail -1)"
+table_out="$(mktemp)"
+cargo run -q -p oblisched_bench --bin perf --release -- --readme-table "$newest_bench" > "$table_out"
+sed -n '/^<!-- perf-table:begin/,/^<!-- perf-table:end/{/^<!-- perf-table:/d;p}' README.md \
+  | diff -u - "$table_out"
+rm -f "$table_out"
 
 echo "==> perf regression gate (smoke suite vs committed BENCH baseline)"
 # Times the pinned hot-path suite (smoke shape) and compares medians and

@@ -228,12 +228,13 @@ pub static LOSSY_CAST_IN_ENGINE: LintSpec = LintSpec {
 
 /// Fields whose writes must carry the SAFETY inflation (or go through the
 /// sanctioned pad helpers) for the conservative-verdict guarantee to hold.
-const PAD_FIELDS: &[&str] = &["mass", "cap", "dropped_mass", "dropped_cap"];
-const SANCTIONED: &[&str] = &["SAFETY", "pad_absorb", "pad_shed"];
+const PAD_FIELDS: &[&str] = &["mass", "cap", "dropped_mass", "dropped_cap", "quanta"];
+const SANCTIONED: &[&str] = &["SAFETY", "pad_absorb", "pad_quanta"];
 
 /// Arithmetic on dropped-mass/pad fields in the sparse engine must mention
-/// `SAFETY` or route through `pad_absorb` / `pad_shed`, else the engine
-/// can under-estimate interference and certify an infeasible schedule.
+/// `SAFETY` or route through `pad_absorb` / `pad_quanta` (which take an
+/// already SAFETY-inflated contribution), else the engine can
+/// under-estimate interference and certify an infeasible schedule.
 pub static MISSING_SAFETY_INFLATION: LintSpec = LintSpec {
     id: "missing-safety-inflation",
     summary: "pad-field writes in the sparse engine must carry the SAFETY inflation",
@@ -295,7 +296,7 @@ pub static MISSING_SAFETY_INFLATION: LintSpec = LintSpec {
                     format!(
                         "write to pad field `{}` without SAFETY inflation; \
                          multiply by SAFETY in-statement or use \
-                         pad_absorb/pad_shed",
+                         pad_absorb/pad_quanta",
                         ctx.text(i)
                     ),
                 ));

@@ -6,6 +6,10 @@ pub fn bad_raw_write(row: &mut Row, port: usize, v: f64) {
     row.cap[port] = v; //~ missing-safety-inflation
 }
 
+pub fn bad_fixed_point(row: &mut Row, port: usize, q: u64) {
+    row.quanta[port] += q; //~ missing-safety-inflation
+}
+
 pub fn bad_transfer(m: &mut Matrix, row: &Row, i: usize, port: usize) {
     m.dropped_mass[i] = row.mass[port]; //~ missing-safety-inflation
 }
@@ -15,9 +19,10 @@ pub fn good_inflated(row: &mut Row, port: usize, v: f64) {
     row.cap[port] = row.cap[port].max(v * SAFETY);
 }
 
-pub fn good_helper(row: &mut Row, port: usize, v: f64) {
+pub fn good_helper(row: &mut Row, port: usize, v: f64, cutoff: f64) {
     row.pad_absorb(port, v * SAFETY);
-    let _ = row.pad_shed(port, v);
+    row.quanta[port] += pad_quanta(v * SAFETY, cutoff);
+    row.quanta[port] -= pad_quanta(v * SAFETY, cutoff);
 }
 
 pub fn good_read(row: &Row, port: usize) -> f64 {

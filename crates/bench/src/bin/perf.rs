@@ -11,6 +11,11 @@
 //! # Gate a change against the committed baseline (smoke suite in CI):
 //! PERF_SMOKE=1 cargo run -p oblisched_bench --bin perf --release -- \
 //!     --check BENCH_2026-08-08.json
+//!
+//! # Print the README "Performance" table of a committed report (runs
+//! # nothing):
+//! cargo run -p oblisched_bench --bin perf --release -- \
+//!     --readme-table BENCH_2026-08-08.json
 //! ```
 //!
 //! Environment:
@@ -23,7 +28,25 @@
 
 #![forbid(unsafe_code)]
 
-use oblisched_bench::perf::{compare, run_suite, PerfReport};
+use oblisched_bench::perf::{compare, readme_table, run_suite, PerfReport};
+
+/// Reads and parses a committed report, exiting 1 on failure.
+fn load_report(path: &str) -> PerfReport {
+    let raw = match std::fs::read_to_string(path) {
+        Ok(raw) => raw,
+        Err(e) => {
+            eprintln!("failed to read report {path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    match serde_json::from_str(&raw) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("failed to parse report {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,6 +65,18 @@ fn main() {
                 i += 1;
                 check_path = args.get(i).cloned();
             }
+            "--readme-table" => {
+                i += 1;
+                let Some(path) = args.get(i) else {
+                    eprintln!("--readme-table needs a BENCH file");
+                    std::process::exit(2);
+                };
+                let name = std::path::Path::new(path)
+                    .file_name()
+                    .map_or(path.clone(), |n| n.to_string_lossy().into_owned());
+                print!("{}", readme_table(&load_report(path), &name));
+                return;
+            }
             "--date" => {
                 i += 1;
                 if let Some(d) = args.get(i) {
@@ -56,7 +91,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: perf [--out FILE] [--check BASELINE] [--date ISO] [--note TEXT]..."
+                    "usage: perf [--out FILE] [--check BASELINE] [--date ISO] [--note TEXT]... \
+                     | perf --readme-table BENCH_FILE"
                 );
                 return;
             }
@@ -92,20 +128,7 @@ fn main() {
     }
 
     if let Some(path) = &check_path {
-        let raw = match std::fs::read_to_string(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let baseline: PerfReport = match serde_json::from_str(&raw) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("failed to parse baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let baseline = load_report(path);
         let (failures, skipped) = compare(&cases, &baseline);
         for s in &skipped {
             eprintln!("note: {s}");

@@ -173,8 +173,8 @@ pub struct SparseChurnOutcome {
     pub final_live: usize,
     /// Colors of the final schedule.
     pub colors: usize,
-    /// Backend footprint in bytes *after* the replay (static grid and
-    /// aggregates plus every row the session materialised).
+    /// Backend footprint in bytes *after* the replay (static per-item
+    /// geometry and live set plus every row the session materialised).
     pub backend_bytes: usize,
     /// Wall time of the replay loop in milliseconds.
     pub dyn_ms: f64,

@@ -398,6 +398,72 @@ pub fn compare(current: &[PerfCase], baseline: &PerfReport) -> (Vec<String>, Vec
     (failures, skipped)
 }
 
+/// What each case times, keyed by case-id prefix (ids append the size).
+const CASE_KINDS: &[(&str, &str)] = &[
+    ("dense_build_n", "dense `GainMatrix` build"),
+    (
+        "dense_first_fit_n",
+        "first-fit probe loop on the cached dense matrix",
+    ),
+    ("sparse_batch_n", "sparse build + serial first-fit"),
+    (
+        "parallel_sparse_n",
+        "sparse build + tile-sharded parallel first-fit",
+    ),
+    (
+        "churn_replay_n",
+        "churn replay on the sparse session backend",
+    ),
+    (
+        "server_load_c",
+        "daemon + load generator over loopback, durable sessions",
+    ),
+];
+
+fn format_ms(ms: f64) -> String {
+    if ms >= 100.0 {
+        format!("{ms:.0} ms")
+    } else if ms >= 10.0 {
+        format!("{ms:.1} ms")
+    } else {
+        format!("{ms:.2} ms")
+    }
+}
+
+/// The README "Performance" table of `report`, read from the file named
+/// `source`: one markdown row per case in file order (a `--out` report
+/// holds the full suite, then the smoke suite), and a closing line naming
+/// the file. `ci.sh` diffs the README against this output for the newest
+/// `BENCH_*.json`, so the table cannot go stale.
+pub fn readme_table(report: &PerfReport, source: &str) -> String {
+    let mut out = String::from(
+        "| case | what it times | median | min | colors | fingerprint |\n\
+         |---|---|---|---|---|---|\n",
+    );
+    for case in &report.cases {
+        let what = CASE_KINDS
+            .iter()
+            .find(|(prefix, _)| case.id.starts_with(prefix))
+            .map_or("?", |&(_, what)| what);
+        let colors = match case.colors {
+            0 => "–".to_string(),
+            c => c.to_string(),
+        };
+        out.push_str(&format!(
+            "| `{}` | {what} | {} | {} | {colors} | `{}` |\n",
+            case.id,
+            format_ms(case.median_ms),
+            format_ms(case.min_ms),
+            case.fingerprint
+        ));
+    }
+    out.push_str(&format!(
+        "\nMedian and fastest of each case's repeats, from `{source}` ({}).\n",
+        report.date
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +522,37 @@ mod tests {
         let (fails, skipped) = compare(&[novel], &baseline);
         assert!(fails.is_empty());
         assert_eq!(skipped.len(), 1);
+    }
+
+    #[test]
+    fn readme_table_renders_every_case_and_names_its_source() {
+        let case = |id: &str, median_ms: f64, colors: usize| PerfCase {
+            id: id.into(),
+            repeats: 3,
+            median_ms,
+            min_ms: median_ms / 2.0,
+            colors,
+            fingerprint: "0123456789abcdef".into(),
+        };
+        let report = PerfReport::new(
+            "2026-01-01",
+            vec![
+                case("dense_build_n400", 1234.5, 0),
+                case("churn_replay_n2500", 12.34, 7),
+                case("mystery_n1", 0.5, 1),
+            ],
+        );
+        let table = readme_table(&report, "BENCH_2026-01-01.json");
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 7, "header, rule, three rows, blank, source");
+        assert_eq!(
+            lines[2],
+            "| `dense_build_n400` | dense `GainMatrix` build | 1234 ms | 617 ms | – \
+             | `0123456789abcdef` |"
+        );
+        assert!(lines[3].contains("| 12.3 ms | 6.17 ms | 7 |"));
+        assert!(lines[4].starts_with("| `mystery_n1` | ? |"));
+        assert!(lines[6].contains("`BENCH_2026-01-01.json` (2026-01-01)"));
     }
 
     #[test]

@@ -419,7 +419,7 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
                 id: RequestId(id),
             });
         }
-        // Churn-capable backends patch their live aggregates and materialised
+        // Churn-capable backends patch their live set and materialised
         // rows here, before any class probes the newcomer.
         self.system.note_arrival(item);
         let color = match self

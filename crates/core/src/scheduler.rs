@@ -154,7 +154,7 @@ enum SelectedBackend<'v, 'e, 'a, M> {
 /// backend, including the churn hooks
 /// ([`note_arrival`](GainBackend::note_arrival) /
 /// [`note_departure`](GainBackend::note_departure)) that keep the sparse
-/// tier's live aggregates in step with the session.
+/// tier's live set and rows in step with the session.
 pub enum SessionBackend<'v, 'e, 'a, M> {
     /// The dense cached [`GainMatrix`]: exact verdicts, `8 · ports · n²`
     /// bytes — the right tier while the universe fits the budget.

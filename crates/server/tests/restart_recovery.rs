@@ -231,3 +231,60 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The sparse tier under the same hard crash: a session over n = 2500
+/// (past the dense budget, so `Auto` runs it on `SparseChurnMatrix`), one
+/// snapshot mid-trace and a 500-event WAL tail after it, SIGKILL, restart,
+/// and a naive-certified fingerprint check. The mid-trace snapshot is what
+/// makes the test bite: the pre-crash backend carries its rows across it,
+/// while recovery loads the snapshot into a fresh backend and replays the
+/// tail, so the two only agree when verdicts are a pure function of the
+/// live set. Release-only: the sparse replay and the naive certification
+/// at this size are slow under a debug build.
+#[test]
+#[cfg(not(debug_assertions))]
+fn killed_daemon_recovers_a_sparse_session_bit_for_bit() {
+    const N: usize = 2500;
+    const NUM_EVENTS: usize = 1500;
+    const CHECKPOINT_EVERY: usize = 1000;
+    let dir = temp_dir("sparse");
+    let spec = OpenSpec {
+        n: N,
+        checkpoint_every: Some(CHECKPOINT_EVERY),
+        ..open_spec("sparse-crash", 11)
+    };
+    let trace = churn_trace_for(N, 600, NUM_EVENTS, 11);
+
+    let mut daemon = Daemon::start(&dir);
+    let (expected_fingerprint, expected_live) = {
+        let mut client = Client::connect(&daemon.addr).expect("connect");
+        let open = WireRequest::Session(SessionVerb::Open(spec.clone()));
+        match client.request(&open).expect("open") {
+            WireResponse::Opened(info) => assert!(!info.recovered, "fresh session"),
+            other => panic!("open answered {other:?}"),
+        }
+        let mut ids = BTreeMap::new();
+        churn(&mut client, &spec.name, &trace.events, &mut ids);
+        let (fingerprint, live, _) = stats(&mut client, &spec.name, false);
+        assert_eq!(live, ids.len());
+        (fingerprint, live)
+    };
+    daemon.kill();
+
+    let daemon = Daemon::start(&dir);
+    let mut client = Client::connect(&daemon.addr).expect("reconnect");
+    let open = WireRequest::Session(SessionVerb::Open(spec.clone()));
+    match client.request(&open).expect("re-open") {
+        WireResponse::Opened(info) => assert!(info.recovered, "must attach to recovered state"),
+        other => panic!("re-open answered {other:?}"),
+    }
+    let (fingerprint, live, validated) = stats(&mut client, &spec.name, true);
+    assert_eq!(
+        fingerprint, expected_fingerprint,
+        "recovered sparse coloring differs from the pre-crash state"
+    );
+    assert_eq!(live, expected_live, "live count diverged");
+    assert!(validated, "naive certification must have run");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -350,7 +350,7 @@ pub trait GainBackend: IncrementalSystem {
     }
 
     /// Notifies the backend that `item` is about to become live in a dynamic
-    /// session. Churn-capable pruned backends patch their live aggregates and
+    /// session. Churn-capable pruned backends patch their live set and
     /// materialised rows here; exact and batch backends (whose stored state
     /// covers the whole universe unconditionally) ignore it.
     fn note_arrival(&self, item: usize) {

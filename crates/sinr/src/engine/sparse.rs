@@ -39,8 +39,9 @@
 //!
 //! [`SparseGainMatrix`] is batch-only: grid aggregates, rows and pads are
 //! built once and never change. Dynamic sessions use the
-//! [`churn`] submodule's [`SparseChurnMatrix`], which maintains the same
-//! pruning structure incrementally under arrivals and departures.
+//! [`churn`] submodule's [`SparseChurnMatrix`], which keeps the same cutoff
+//! and stored entries under arrivals and departures, with no grid and an
+//! exact fixed-point dropped-mass pad per row.
 //!
 //! # Example
 //!
@@ -79,7 +80,7 @@ use oblisched_metric::{MetricSpace, PlanarMetric};
 
 pub mod churn;
 
-pub use churn::{SparseChurnMatrix, DEFAULT_REFRESH_INTERVAL};
+pub use churn::SparseChurnMatrix;
 
 /// Relative inflation applied to every stored contribution, dropped-mass
 /// bound and exact re-check, so conservativeness survives last-ulp
@@ -160,8 +161,8 @@ pub struct SparseConfig {
     /// sparse prices, useful for testing). Default `1e-3`.
     pub cutoff_fraction: f64,
     /// Target number of grid entries (interfering endpoints) per tile; the
-    /// tile side is derived from it and the deployment's density. Default
-    /// `8.0`.
+    /// tile side is derived from it and the deployment's density. The churn
+    /// backend has no grid and ignores it. Default `8.0`.
     pub tile_occupancy: f64,
     /// When `true`, borderline verdicts (rejected with the dropped-mass pad,
     /// accepted without it) are settled by re-checking the class through

@@ -2,114 +2,150 @@
 //! pruning story under insert/remove mutations.
 //!
 //! The batch [`SparseGainMatrix`](super::SparseGainMatrix) is built once:
-//! its grid aggregates, CSR rows and dropped-mass pads all describe the full
-//! universe and never change. A dynamic session needs the opposite shape —
-//! at any moment only the *live* subset interferes, rows must follow
-//! arrivals and departures, and the conservativeness guarantee ("never
-//! accept a set the naive evaluator rejects") must hold at **every**
-//! intermediate state, not just after a batch build. [`SparseChurnMatrix`]
-//! provides that:
+//! its CSR rows and dropped-mass pads describe the full universe and never
+//! change. A dynamic session needs the opposite shape — at any moment only
+//! the *live* subset interferes, rows must follow arrivals and departures,
+//! and the conservativeness guarantee ("never accept a set the naive
+//! evaluator rejects") must hold at **every** intermediate state, not just
+//! after a batch build. [`SparseChurnMatrix`] provides that:
 //!
-//! * the **spatial grid** (tile membership, positions, powers) is built once
-//!   over the whole universe, but every tile and supertile carries *live*
-//!   aggregates — power sum, power max and the bounding box of the live
-//!   entries — that are updated incrementally on each arrival/departure by
-//!   recomputing exactly the touched tiles (a pure function of the live set,
-//!   so no drift can accumulate in the aggregates themselves);
+//! * the **live set** is a membership slot per universe item plus a dense
+//!   list of the live items, both updated in `O(1)` per arrival/departure;
 //! * rows are **lazily materialised**: only requests that a scheduler
-//!   actually probes get a CSR row, built by the same supertile→tile→entry
-//!   traversal as the batch builder but pruned against the live aggregates;
-//!   a departing request's row is dropped whole, so only live requests ever
-//!   hold rows;
+//!   actually probes get a CSR row, built by visiting every live member
+//!   once (`O(live)`, the order of one event's patch loop); a departing
+//!   request's row is dropped whole, so only live requests ever hold rows;
 //! * materialised rows are **patched** on churn: an arrival inserts a stored
 //!   entry (when its inflated contribution reaches the row's cutoff) or adds
-//!   to the row's dropped-mass pad; a departure removes the stored entry or
-//!   subtracts from the pad with the *deflated* bound described below;
-//! * a **staleness guard** counts the patches applied to each row and
-//!   triggers a localized rebuild (one row, against the current live
-//!   aggregates) after [`refresh_interval`](SparseChurnMatrix::refresh_interval)
-//!   mutations, bounding how far a patched pad can drift from the freshly
-//!   built one.
+//!   its fixed-point quanta to the row's dropped-mass pad; a departure
+//!   removes the stored entry or subtracts exactly the same quanta.
 //!
-//! # The corrected departure bound
+//! # Fixed-point pads
 //!
-//! Subtracting a departed contribution from the dropped-mass pad is the one
-//! place where naive arithmetic can *erode* conservativeness: the pad stores
-//! the inflated value `SAFETY · v` (or a tile-aggregate bound that is larger
-//! still), and subtracting that same inflated value back out spends the
-//! term's safety margin — together with ordinary float rounding of the
-//! subtraction, the remaining pad can dip below the true remaining dropped
-//! mass. The corrected protocol subtracts the **deflated** contribution
-//! `v / SAFETY` (never more than the true value, so the remainder keeps
-//! every other term's margin intact) and re-inflates the remainder by
-//! `SAFETY` (covering the rounding error of the subtraction itself, since
-//! one part in `10^12` dwarfs half an ulp). Each out/in cycle of a pruned
-//! request therefore leaves a small *non-negative* residue in the pad —
-//! staleness, which costs precision and is bounded by the refresh guard,
-//! never unsoundness. The regression test
-//! `departure_subtraction_never_erodes_the_pad` pins this bound.
+//! Let `c = cutoff(i)` and let `v = SAFETY · raw(i, port, j) < c` be a
+//! pruned contribution. The row holds, per port, the integer
+//! `Q = Σ q(v)` over its live pruned interferers, where
+//! `q(v) = floor(min(v · 2³² / c, 2³² − 1)) + 1`, an integer in `[1, 2³²]`:
 //!
-//! # Determinism and durable replay
+//! * **Upward rounding.** The ratio `v / c` is one correctly rounded
+//!   division (relative error at most `2⁻⁵³`); scaling by `2³²` is exact,
+//!   and `floor(t) + 1` lies strictly above `t` — a ratio that underflowed
+//!   still counts one quantum. The cap only applies when the computed ratio
+//!   reaches `1 − 2⁻³²`, where the resulting `2³²` quanta are the whole
+//!   cutoff, above any `v < c`. So `q · c / 2³² ≥ (1 − 2⁻⁵³) · v` for every
+//!   term, and summing keeps `Q · c / 2³² ≥ (1 − 2⁻⁵³) · SAFETY · Σ raw ≥
+//!   Σ raw`. (`floor + 1` instead of `ceil` avoids a libm call on the
+//!   baseline x86-64 target, in the loop every row build and patch runs.)
+//! * **SAFETY covers the conversion.** Queries read the pad as
+//!   `SAFETY · f64(Q) · c / 2³²`: the integer-to-float conversion (exact
+//!   below `2⁵³`, half an ulp above) and the products each round by at most
+//!   `2⁻⁵³` relative, which the `1e-12` of `SAFETY` dominates. The read pad
+//!   therefore never falls below the true dropped mass.
+//! * **`cap = cutoff`.** Every pruned inflated value is below the row's
+//!   cutoff by definition, so the cutoff itself is the per-member bound the
+//!   [`ColorAccumulator`](crate::engine::ColorAccumulator) pairs with the
+//!   pad.
+//! * **Headroom.** Each quantum count is at most `2³²` and a row has at
+//!   most `2³² − 1` interferers (item ids are `u32`), so `Q < 2⁶⁴` fits a
+//!   `u64` for any buildable universe.
 //!
-//! Stored entries are deterministic throughout: the pair `(i, j)` is stored
-//! exactly when `SAFETY · contribution ≥ cutoff(i)` and both are live — a
-//! pure function of the pair and the live set, independent of traversal,
-//! patch order and rebuilds (the tile pruning bound dominates every member's
-//! contribution, so a pruned tile can never hide a stored-worthy pair). The
-//! *pads*, however, depend on when a row was materialised and how it was
-//! patched since. With `refresh_interval == 1` every patch becomes a
-//! rebuild, which makes the pads — and therefore every verdict — a pure
-//! function of the live set as well. That is the configuration durable
-//! sessions need: write-ahead-log recovery re-derives placements instead of
-//! replaying them, so a crash-recovered scheduler only reproduces the
-//! pre-crash coloring bit-for-bit when verdicts cannot depend on the
-//! mutation history. Larger intervals (the default is
-//! [`DEFAULT_REFRESH_INTERVAL`]) trade that replay purity for `O(1)` pad
-//! patches; verdicts stay conservative at any interval.
+//! Integer addition is exact, associative and commutative, and a departure
+//! subtracts the `q` recomputed from the same pair its arrival added. `Q`
+//! is therefore a pure function of the live set: whatever the mutation
+//! history, a patched row equals the row a fresh build over the same live
+//! set produces, bit for bit. Stored entries are the pure pair predicate
+//! `SAFETY · raw ≥ cutoff`. Every verdict is thus a function of the live
+//! set alone, which is what durable sessions need: write-ahead-log recovery
+//! re-derives placements on a fresh backend instead of replaying them, and
+//! reproduces the pre-crash coloring bit for bit.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 
-use super::{distance_sq, BBox, FastLoss, GridEntry, SparseConfig, SpatialGrid, SAFETY, SUPER};
+use super::{distance_sq, FastLoss, SparseConfig, SAFETY};
 use crate::engine::{item_id, item_index, GainBackend, IncrementalSystem, SparseEntry, MAX_PORTS};
 use crate::feasibility::{InterferenceSystem, Variant, VariantView};
 use crate::params::SinrParams;
 use oblisched_metric::{MetricSpace, PlanarMetric};
 
-/// Default number of patches a materialised row tolerates before the
-/// staleness guard rebuilds it against the current live aggregates.
-pub const DEFAULT_REFRESH_INTERVAL: usize = 64;
+/// `2³²`: the quanta of one full row cutoff in the fixed-point pad.
+const PAD_SCALE: f64 = 4_294_967_296.0;
 
-/// Sentinel for "this item has no second grid tile" (directed variant).
-const NO_TILE: usize = usize::MAX;
+/// [`LiveSet::slot`] marker for an item that is not live.
+const DEAD: u32 = u32::MAX;
 
-/// The live aggregates of the static grid: which items are live, and the
-/// per-tile / per-supertile power sums, maxima and bounding boxes of the
-/// live entries only. Every field is recomputed exactly for the touched
-/// tiles on each mutation, so the whole struct is a pure function of the
-/// live set.
+/// The fixed-point quanta of one pruned, SAFETY-inflated contribution
+/// `inflated < cutoff`: `floor(inflated · 2³² / cutoff) + 1`, with the
+/// scaled ratio capped at `2³² − 1` (so a NaN ratio counts as the full
+/// cutoff). The one sanctioned way into a pad (`oblint`'s
+/// missing-safety-inflation rule); see the [module docs](self) for the
+/// rounding argument.
+#[inline]
+fn pad_quanta(inflated: f64, cutoff: f64) -> u64 {
+    let scaled = (inflated / cutoff * PAD_SCALE).min(PAD_SCALE - 1.0);
+    // oblint::allow(lossy-cast-in-engine): truncation is the floor of `scaled`, which lies in [0, 2^32 - 1].
+    scaled as u64 + 1
+}
+
+/// The sanctioned pad read: `quanta` back in contribution units, inflated
+/// by `SAFETY` to cover the conversion's own rounding (module docs).
+#[inline]
+fn pad_mass(quanta: u64, cutoff: f64) -> f64 {
+    // oblint::allow(lossy-cast-in-engine): exact below 2^53 quanta, half an ulp above; the SAFETY factor covers it.
+    SAFETY * (quanta as f64) * cutoff / PAD_SCALE
+}
+
+/// The live set: each universe item's position in `members` (or [`DEAD`])
+/// and the dense list of live items that row builds visit. Removal swaps
+/// the last member into the freed position, so the list order follows the
+/// mutation history; nothing observable depends on it.
 #[derive(Debug, Clone)]
-struct LiveState {
-    live: Vec<bool>,
-    live_count: usize,
-    tile_bbox: Vec<BBox>,
-    tile_power_sum: Vec<f64>,
-    tile_power_max: Vec<f64>,
-    super_bbox: Vec<BBox>,
-    super_power_sum: Vec<f64>,
-    super_power_max: Vec<f64>,
+struct LiveSet {
+    slot: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl LiveSet {
+    fn contains(&self, item: usize) -> bool {
+        self.slot[item] != DEAD
+    }
+
+    /// Marks `item` live; `false` when it already was.
+    fn insert(&mut self, item: usize) -> bool {
+        if self.contains(item) {
+            return false;
+        }
+        self.slot[item] = item_id(self.members.len());
+        self.members.push(item_id(item));
+        true
+    }
+
+    /// Marks `item` dead; `false` when it already was.
+    fn remove(&mut self, item: usize) -> bool {
+        let pos = self.slot[item];
+        if pos == DEAD {
+            return false;
+        }
+        self.slot[item] = DEAD;
+        self.members.swap_remove(item_index(pos));
+        if let Some(&moved) = self.members.get(item_index(pos)) {
+            self.slot[item_index(moved)] = pos;
+        }
+        true
+    }
 }
 
 /// One lazily-materialised row: the stored entries of every port (live
 /// interferers at or above the row's cutoff, sorted by index, in
-/// structure-of-arrays form — parallel column/value vectors per port), the
-/// dropped-mass pad, and the staleness-guard patch counter.
-#[derive(Debug, Clone)]
+/// structure-of-arrays form — parallel column/value vectors per port) and
+/// the fixed-point dropped-mass pad.
+#[derive(Debug, Clone, Default)]
 struct ChurnRow {
     cols: [Vec<u32>; MAX_PORTS],
     vals: [Vec<f64>; MAX_PORTS],
-    mass: [f64; MAX_PORTS],
-    cap: [f64; MAX_PORTS],
-    mutations: usize,
+    /// Per port, the sum of [`pad_quanta`] over the live pruned interferers.
+    /// At most `2³²` per interferer and fewer than `2³²` interferers (item
+    /// ids are `u32`), so the `u64` cannot overflow.
+    quanta: [u64; MAX_PORTS],
 }
 
 impl ChurnRow {
@@ -123,79 +159,57 @@ impl ChurnRow {
             .map(|k| self.vals[port][k])
     }
 
-    /// Inserts `(j, v)` at `port`, keeping the columns sorted. Overwrites an
-    /// already-stored pair (patch idempotence).
-    fn insert_sorted(&mut self, port: usize, j: u32, v: f64) {
-        match self.cols[port].binary_search(&j) {
-            Ok(p) => self.vals[port][p] = v,
-            Err(p) => {
-                self.cols[port].insert(p, j);
-                self.vals[port].insert(p, v);
+    /// Admits arriving interferer `j` with SAFETY-inflated contribution `v`:
+    /// a sorted stored entry at or above `cutoff`, else its quanta join the
+    /// pad.
+    fn admit(&mut self, port: usize, j: u32, v: f64, cutoff: f64) {
+        if v >= cutoff {
+            match self.cols[port].binary_search(&j) {
+                Ok(_) => debug_assert!(false, "arriving interferer {j} was already stored"),
+                Err(p) => {
+                    self.cols[port].insert(p, j);
+                    self.vals[port].insert(p, v);
+                }
             }
+        } else {
+            self.quanta[port] += pad_quanta(v, cutoff);
         }
     }
 
-    /// Removes the stored pair of interferer `j` at `port`, if present.
-    /// Returns `true` when an entry was removed.
-    fn remove_entry(&mut self, port: usize, j: u32) -> bool {
-        match self.cols[port].binary_search(&j) {
-            Ok(p) => {
-                self.cols[port].remove(p);
-                self.vals[port].remove(p);
-                true
+    /// The exact inverse of [`admit`](ChurnRow::admit) for departing
+    /// interferer `j`: removes the stored entry, or subtracts the very
+    /// quanta its arrival (or the row's build) added, so the pad cannot
+    /// underflow.
+    fn evict(&mut self, port: usize, j: u32, v: f64, cutoff: f64) {
+        if v >= cutoff {
+            match self.cols[port].binary_search(&j) {
+                Ok(p) => {
+                    self.cols[port].remove(p);
+                    self.vals[port].remove(p);
+                }
+                Err(_) => debug_assert!(false, "departing interferer {j} was not stored"),
             }
-            Err(_) => false,
+        } else {
+            self.quanta[port] -= pad_quanta(v, cutoff);
         }
-    }
-    /// The sanctioned pad addition: folds one already SAFETY-inflated
-    /// pruned contribution into the port's dropped-mass pad and cap. Every
-    /// pad write must route through here, [`pad_shed`](ChurnRow::pad_shed)
-    /// or an in-statement `SAFETY` bound (`oblint`'s
-    /// missing-safety-inflation rule).
-    #[inline]
-    fn pad_absorb(&mut self, port: usize, inflated: f64) {
-        // oblint::allow(missing-safety-inflation): `inflated` is SAFETY-inflated by every caller — this helper IS the sanctioned pad entry point.
-        self.mass[port] += inflated;
-        // oblint::allow(missing-safety-inflation): same contract as the mass update above.
-        self.cap[port] = self.cap[port].max(inflated);
-    }
-
-    /// The sanctioned pad subtraction — the corrected departure bound of the
-    /// [module docs](self): subtract the *deflated* contribution (never more
-    /// than the true value, so every surviving term keeps its safety
-    /// margin), clamp at zero, and re-inflate the remainder to cover the
-    /// subtraction's own rounding. Returns the new pad so callers can poison
-    /// the row when the arithmetic degenerates to a non-finite value.
-    #[inline]
-    fn pad_shed(&mut self, port: usize, inflated: f64) -> f64 {
-        self.mass[port] = (self.mass[port] - inflated / (SAFETY * SAFETY)).max(0.0) * SAFETY;
-        self.mass[port]
     }
 }
 
-/// The materialised rows plus the list of items currently holding one (so
-/// patches iterate live rows, never the whole universe).
-#[derive(Debug, Clone, Default)]
-struct RowStore {
+/// The live set, the materialised rows, and the list of items currently
+/// holding one (so patches iterate live rows, never the whole universe).
+#[derive(Debug, Clone)]
+struct ChurnState {
+    live: LiveSet,
     rows: Vec<Option<ChurnRow>>,
     materialized: Vec<u32>,
 }
 
-/// Epoch-stamped scratch for deduplicating the two grid endpoints of a
-/// request during a row build (mirrors the batch builder's `seen` array).
-#[derive(Debug, Clone)]
-struct Scratch {
-    seen: Vec<u32>,
-    epoch: u32,
-}
-
-/// A churn-capable spatially-pruned [`GainBackend`]: the sparse tier for
+/// A churn-capable cutoff-pruned [`GainBackend`]: the sparse tier for
 /// dynamic sessions.
 ///
 /// Built once over the full universe of a [`VariantView`] (positions,
-/// powers, signals and the static grid are copied in), it starts with every
-/// request *dead* and is driven by the
-/// [`note_arrival`](GainBackend::note_arrival) /
+/// powers and signals are copied in), it starts with every request *dead*
+/// and is driven by the [`note_arrival`](GainBackend::note_arrival) /
 /// [`note_departure`](GainBackend::note_departure) hooks — the dynamic
 /// schedulers in the core crate invoke them around each insert/remove. All
 /// queries
@@ -215,7 +229,6 @@ pub struct SparseChurnMatrix {
     fast: FastLoss,
     beta: f64,
     strict: bool,
-    refresh_interval: usize,
     signals: Vec<f64>,
     powers: Vec<f64>,
     senders: Vec<[f64; 2]>,
@@ -223,27 +236,20 @@ pub struct SparseChurnMatrix {
     /// Per-item row cutoff `cutoff_fraction · signal / β` (a stored entry is
     /// exactly an inflated contribution at or above it).
     cutoffs: Vec<f64>,
-    /// The static universe grid: tile membership never changes, only the
-    /// live aggregates in [`LiveState`] do.
-    grid: SpatialGrid,
-    /// The (one or two) grid tiles holding each item's interfering
-    /// endpoints, for exact localized aggregate refreshes.
-    item_tiles: Vec<[usize; 2]>,
-    state: RefCell<LiveState>,
-    store: RefCell<RowStore>,
-    scratch: RefCell<Scratch>,
+    state: RefCell<ChurnState>,
 }
 
 impl SparseChurnMatrix {
     /// Builds the churn backend over `view`'s full universe with every
-    /// request initially dead. Costs one grid build (`O(n)` at fixed
-    /// occupancy) and copies the per-item geometry; no rows are materialised.
+    /// request initially dead. Copies the per-item geometry in `O(n)`; no
+    /// rows are materialised.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`SparseConfig`];
-    /// [`build_threads`](SparseConfig::build_threads) is ignored — rows are
-    /// built lazily, one at a time).
+    /// [`tile_occupancy`](SparseConfig::tile_occupancy) and
+    /// [`build_threads`](SparseConfig::build_threads) are ignored — rows are
+    /// built lazily, one at a time, from the live set).
     pub fn new<M: MetricSpace + PlanarMetric>(
         view: &VariantView<'_, '_, M>,
         config: &SparseConfig,
@@ -263,50 +269,10 @@ impl SparseChurnMatrix {
         let params = eval.params();
         let beta = params.beta();
         let signals: Vec<f64> = (0..n).map(|i| eval.signal(i)).collect();
-        let powers: Vec<f64> = eval.powers().to_vec();
-        let senders: Vec<[f64; 2]> = (0..n)
-            .map(|i| metric.position(instance.request(i).sender))
+        let cutoffs: Vec<f64> = signals
+            .iter()
+            .map(|&s| config.cutoff_fraction * s / beta)
             .collect();
-        let receivers: Vec<[f64; 2]> = (0..n)
-            .map(|i| metric.position(instance.request(i).receiver))
-            .collect();
-        let cutoffs: Vec<f64> = (0..n)
-            .map(|i| config.cutoff_fraction * signals[i] / beta)
-            .collect();
-
-        // Same interfering-endpoint convention as the batch builder: senders
-        // always, receivers too in the bidirectional variant.
-        let mut grid_points: Vec<GridEntry> = Vec::with_capacity(n * ports.max(1));
-        for i in 0..n {
-            grid_points.push(GridEntry {
-                pos: senders[i],
-                item: item_id(i),
-                power: powers[i],
-            });
-            if variant == Variant::Bidirectional {
-                grid_points.push(GridEntry {
-                    pos: receivers[i],
-                    item: item_id(i),
-                    power: powers[i],
-                });
-            }
-        }
-        let grid = SpatialGrid::build(&grid_points, config.tile_occupancy);
-
-        let mut item_tiles = vec![[NO_TILE; 2]; n];
-        for t in 0..grid.offsets.len() - 1 {
-            for e in &grid.entries[grid.offsets[t]..grid.offsets[t + 1]] {
-                let slots = &mut item_tiles[item_index(e.item)];
-                if slots[0] == NO_TILE {
-                    slots[0] = t;
-                } else {
-                    slots[1] = t;
-                }
-            }
-        }
-
-        let num_tiles = grid.tile_power_sum.len();
-        let num_super = grid.super_power_sum.len();
         Self {
             n,
             ports,
@@ -316,55 +282,24 @@ impl SparseChurnMatrix {
             fast: FastLoss::for_alpha(params.alpha()),
             beta,
             strict: config.strict,
-            refresh_interval: DEFAULT_REFRESH_INTERVAL,
             signals,
-            powers,
-            senders,
-            receivers,
+            powers: eval.powers().to_vec(),
+            senders: (0..n)
+                .map(|i| metric.position(instance.request(i).sender))
+                .collect(),
+            receivers: (0..n)
+                .map(|i| metric.position(instance.request(i).receiver))
+                .collect(),
             cutoffs,
-            grid,
-            item_tiles,
-            state: RefCell::new(LiveState {
-                live: vec![false; n],
-                live_count: 0,
-                tile_bbox: vec![BBox::EMPTY; num_tiles],
-                tile_power_sum: vec![0.0; num_tiles],
-                tile_power_max: vec![0.0; num_tiles],
-                super_bbox: vec![BBox::EMPTY; num_super],
-                super_power_sum: vec![0.0; num_super],
-                super_power_max: vec![0.0; num_super],
-            }),
-            store: RefCell::new(RowStore {
+            state: RefCell::new(ChurnState {
+                live: LiveSet {
+                    slot: vec![DEAD; n],
+                    members: Vec::new(),
+                },
                 rows: (0..n).map(|_| None).collect(),
                 materialized: Vec::new(),
             }),
-            scratch: RefCell::new(Scratch {
-                seen: vec![0; n],
-                epoch: 0,
-            }),
         }
-    }
-
-    /// Returns a copy-by-move with the staleness-guard interval replaced:
-    /// a materialised row is rebuilt against the current live aggregates
-    /// after this many patches. `1` makes every verdict a pure function of
-    /// the live set (required for bit-exact durable replay, see the
-    /// [module docs](self)); larger values make patches `O(1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn with_refresh_interval(mut self, interval: usize) -> Self {
-        assert!(interval >= 1, "refresh interval must be at least 1");
-        self.refresh_interval = interval;
-        self
-    }
-
-    /// The staleness-guard interval (see
-    /// [`with_refresh_interval`](SparseChurnMatrix::with_refresh_interval)).
-    pub fn refresh_interval(&self) -> usize {
-        self.refresh_interval
     }
 
     /// Returns a copy-by-move with [`strict`](SparseConfig::strict)
@@ -392,23 +327,23 @@ impl SparseChurnMatrix {
 
     /// Number of currently live requests.
     pub fn live_count(&self) -> usize {
-        self.state.borrow().live_count
+        self.state.borrow().live.members.len()
     }
 
     /// Whether `item` is currently live.
     pub fn is_live(&self, item: usize) -> bool {
-        self.state.borrow().live[item]
+        self.state.borrow().live.contains(item)
     }
 
     /// Number of live requests currently holding a materialised CSR row.
     pub fn materialized_rows(&self) -> usize {
-        self.store.borrow().materialized.len()
+        self.state.borrow().materialized.len()
     }
 
     /// Number of stored (non-pruned) contributions across all materialised
     /// rows.
     pub fn stored_entries(&self) -> usize {
-        self.store
+        self.state
             .borrow()
             .rows
             .iter()
@@ -418,96 +353,24 @@ impl SparseChurnMatrix {
     }
 
     /// Approximate heap footprint in bytes: the static per-item geometry,
-    /// the grid with both aggregate levels, and every materialised row.
+    /// the live set and every materialised row.
     pub fn bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
+        let id = std::mem::size_of::<u32>();
+        let st = self.state.borrow();
         let fixed = (self.signals.len() + self.powers.len() + self.cutoffs.len()) * f
             + (self.senders.len() + self.receivers.len()) * std::mem::size_of::<[f64; 2]>()
-            + self.item_tiles.len() * std::mem::size_of::<[usize; 2]>()
-            + self.grid.entries.len() * std::mem::size_of::<GridEntry>()
-            + self.grid.offsets.len() * std::mem::size_of::<usize>()
-            + self.n * (std::mem::size_of::<bool>() + std::mem::size_of::<u32>());
-        let tiles = self.grid.tile_power_sum.len();
-        let supers = self.grid.super_power_sum.len();
-        // Static and live aggregates: bbox + sum + max per tile/supertile.
-        let aggregates = 2 * (tiles + supers) * (std::mem::size_of::<BBox>() + 2 * f);
-        let store = self.store.borrow();
-        let rows = store.rows.len() * std::mem::size_of::<Option<ChurnRow>>()
-            + store
-                .rows
+            + (st.live.slot.len() + st.live.members.capacity() + st.materialized.capacity()) * id;
+        let rows = st.rows.len() * std::mem::size_of::<Option<ChurnRow>>()
+            + st.rows
                 .iter()
                 .flatten()
                 .map(|row| {
-                    row.cols
-                        .iter()
-                        .map(|c| c.capacity() * std::mem::size_of::<u32>())
-                        .sum::<usize>()
-                        + row
-                            .vals
-                            .iter()
-                            .map(|v| v.capacity() * std::mem::size_of::<f64>())
-                            .sum::<usize>()
+                    row.cols.iter().map(Vec::capacity).sum::<usize>() * id
+                        + row.vals.iter().map(Vec::capacity).sum::<usize>() * f
                 })
                 .sum::<usize>();
-        fixed + aggregates + rows
-    }
-
-    /// Recomputes, exactly, the live aggregates of every tile holding one of
-    /// `item`'s interfering endpoints, then the supertiles above them. The
-    /// recompute iterates the tile's static entries in storage order and
-    /// filters by liveness, so the result depends only on the live set.
-    fn refresh_tiles(&self, st: &mut LiveState, item: usize) {
-        let tiles = self.item_tiles[item];
-        for (k, &t) in tiles.iter().enumerate() {
-            if t == NO_TILE || tiles[..k].contains(&t) {
-                continue;
-            }
-            let mut bbox = BBox::EMPTY;
-            let mut sum = 0.0f64;
-            let mut max = 0.0f64;
-            for e in &self.grid.entries[self.grid.offsets[t]..self.grid.offsets[t + 1]] {
-                if st.live[item_index(e.item)] {
-                    bbox.grow(e.pos);
-                    sum += e.power;
-                    max = max.max(e.power);
-                }
-            }
-            st.tile_bbox[t] = bbox;
-            st.tile_power_sum[t] = sum;
-            st.tile_power_max[t] = max;
-
-            let tx = t % self.grid.cols;
-            let ty = t / self.grid.cols;
-            let (sx, sy) = (tx / SUPER, ty / SUPER);
-            let s = sy * self.grid.super_cols + sx;
-            let mut sbbox = BBox::EMPTY;
-            let mut ssum = 0.0f64;
-            let mut smax = 0.0f64;
-            for ty2 in (sy * SUPER)..((sy + 1) * SUPER).min(self.grid.rows) {
-                for tx2 in (sx * SUPER)..((sx + 1) * SUPER).min(self.grid.cols) {
-                    let t2 = ty2 * self.grid.cols + tx2;
-                    if st.tile_power_sum[t2] == 0.0 {
-                        continue;
-                    }
-                    sbbox.merge(&st.tile_bbox[t2]);
-                    ssum += st.tile_power_sum[t2];
-                    smax = smax.max(st.tile_power_max[t2]);
-                }
-            }
-            st.super_bbox[s] = sbbox;
-            st.super_power_sum[s] = ssum;
-            st.super_power_max[s] = smax;
-        }
-    }
-
-    /// Mirror of the batch builder's anchors: where interference arrives at
-    /// item `i` — the receiver in the directed variant, both endpoints in
-    /// the bidirectional one.
-    fn traversal_anchors(&self, i: usize) -> ([[f64; 2]; MAX_PORTS], usize) {
-        match self.variant {
-            Variant::Directed => ([self.receivers[i], self.receivers[i]], 1),
-            Variant::Bidirectional => ([self.senders[i], self.receivers[i]], 2),
-        }
+        fixed + rows
     }
 
     /// Mirror of the batch builder's un-pruned contribution of `j` at `port`
@@ -535,108 +398,30 @@ impl SparseChurnMatrix {
         self.fast.strength_sq(self.powers[j], d_sq)
     }
 
-    /// Builds row `i` from scratch against the **live** aggregates: the same
-    /// supertile→tile→entry traversal as the batch builder, except that the
-    /// pruning bounds come from the live power sums/maxima/bounding boxes
-    /// and only live entries become stored entries or per-entry mass. A
-    /// pruned (super)tile bounds every live member's contribution, so no
-    /// stored-worthy live pair can hide in one — storedness stays the pure
-    /// pair predicate `SAFETY · contribution ≥ cutoff`.
-    fn build_live_row(&self, st: &LiveState, i: usize) -> ChurnRow {
-        let mut scratch = self.scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        if scratch.epoch == u32::MAX {
-            scratch.seen.fill(0);
-            scratch.epoch = 1;
-        } else {
-            scratch.epoch += 1;
-        }
-        let epoch = scratch.epoch;
-        let seen = &mut scratch.seen;
-
-        let mut row = ChurnRow {
-            cols: [Vec::new(), Vec::new()],
-            vals: [Vec::new(), Vec::new()],
-            mass: [0.0; MAX_PORTS],
-            cap: [0.0; MAX_PORTS],
-            mutations: 0,
-        };
+    /// Builds row `i` from scratch by visiting every live member once:
+    /// inflated contributions at or above the cutoff become stored entries
+    /// (sorted afterwards), the rest add their quanta to the pad. The pad is
+    /// an integer sum, so the visiting order cannot change it.
+    fn build_row(&self, live: &LiveSet, i: usize) -> ChurnRow {
+        let cutoff = self.cutoffs[i];
+        let mut row = ChurnRow::default();
         // Entries are collected interleaved so one sort keeps columns and
         // values paired, then split into the row's parallel arrays below.
-        let mut collected: [Vec<SparseEntry>; MAX_PORTS] = [Vec::new(), Vec::new()];
-        let cutoff = self.cutoffs[i];
-        let (anchors, num_anchors) = self.traversal_anchors(i);
-        let grid = &self.grid;
-        let prune = |row: &mut ChurnRow, bbox: &BBox, power_sum: f64, power_max: f64| -> bool {
-            let mut d_sq = [0.0f64; MAX_PORTS];
-            let mut d_min = f64::INFINITY;
-            for (a, slot) in d_sq.iter_mut().enumerate().take(num_anchors) {
-                *slot = bbox.distance_sq_from(anchors[a]);
-                d_min = d_min.min(*slot);
+        let mut stored: [Vec<SparseEntry>; MAX_PORTS] = Default::default();
+        for &j in &live.members {
+            if item_index(j) == i {
+                continue;
             }
-            if d_min <= 0.0 {
-                return false;
-            }
-            let worst = SAFETY * self.fast.strength_sq(power_max, d_min);
-            if worst >= cutoff {
-                return false;
-            }
-            for (port, &anchor_d) in d_sq.iter().enumerate().take(self.ports) {
-                let d = if self.folded { d_min } else { anchor_d };
-                row.mass[port] += SAFETY * self.fast.strength_sq(power_sum, d);
-                row.cap[port] = row.cap[port].max(SAFETY * self.fast.strength_sq(power_max, d));
-            }
-            true
-        };
-        for sy in 0..grid.super_rows {
-            for sx in 0..grid.super_cols {
-                let s = sy * grid.super_cols + sx;
-                if st.super_power_sum[s] == 0.0 {
-                    continue;
-                }
-                if prune(
-                    &mut row,
-                    &st.super_bbox[s],
-                    st.super_power_sum[s],
-                    st.super_power_max[s],
-                ) {
-                    continue;
-                }
-                for ty in (sy * SUPER)..((sy + 1) * SUPER).min(grid.rows) {
-                    for tx in (sx * SUPER)..((sx + 1) * SUPER).min(grid.cols) {
-                        let t = ty * grid.cols + tx;
-                        if st.tile_power_sum[t] == 0.0 {
-                            continue;
-                        }
-                        if prune(
-                            &mut row,
-                            &st.tile_bbox[t],
-                            st.tile_power_sum[t],
-                            st.tile_power_max[t],
-                        ) {
-                            continue;
-                        }
-                        for e in &grid.entries[grid.offsets[t]..grid.offsets[t + 1]] {
-                            let j = item_index(e.item);
-                            if j == i || !st.live[j] || seen[j] == epoch {
-                                continue;
-                            }
-                            seen[j] = epoch;
-                            for (port, entries) in collected.iter_mut().enumerate().take(self.ports)
-                            {
-                                let v = SAFETY * self.raw_contribution(i, port, j);
-                                if v >= cutoff {
-                                    entries.push(SparseEntry { j: e.item, v });
-                                } else {
-                                    row.pad_absorb(port, v);
-                                }
-                            }
-                        }
-                    }
+            for (port, entries) in stored.iter_mut().enumerate().take(self.ports) {
+                let v = SAFETY * self.raw_contribution(i, port, item_index(j));
+                if v >= cutoff {
+                    entries.push(SparseEntry { j, v });
+                } else {
+                    row.quanta[port] += pad_quanta(v, cutoff);
                 }
             }
         }
-        for (port, entries) in collected.iter_mut().enumerate().take(self.ports) {
+        for (port, entries) in stored.iter_mut().enumerate().take(self.ports) {
             entries.sort_unstable_by_key(|e| e.j);
             row.cols[port] = entries.iter().map(|e| e.j).collect();
             row.vals[port] = entries.iter().map(|e| e.v).collect();
@@ -644,113 +429,75 @@ impl SparseChurnMatrix {
         row
     }
 
-    /// Materialises row `i` if it does not exist yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is dead — only live requests ever get CSR rows, and
-    /// every query path is specified for live items only.
-    fn ensure_row(&self, i: usize) {
-        if self.store.borrow().rows[i].is_some() {
-            return;
-        }
-        let st = self.state.borrow();
-        assert!(
-            st.live[i],
-            "sparse churn row requested for dead item {i}: queries are only \
-             meaningful for live requests"
-        );
-        let row = self.build_live_row(&st, i);
-        drop(st);
-        let mut store = self.store.borrow_mut();
-        if store.rows[i].is_none() {
-            store.rows[i] = Some(row);
-            store.materialized.push(item_id(i));
-        }
-    }
-
     /// Materialises row `i` if needed and returns a shared borrow of it —
     /// the one lookup point every query path goes through.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is dead (the liveness contract of
-    /// [`ensure_row`](SparseChurnMatrix::ensure_row)).
-    fn row_ref(&self, i: usize) -> std::cell::Ref<'_, ChurnRow> {
-        self.ensure_row(i);
-        match std::cell::Ref::filter_map(self.store.borrow(), |s| s.rows[i].as_ref()) {
+    /// Panics if `i` is dead — only live requests ever get CSR rows, and
+    /// every query path is specified for live items only.
+    fn row_ref(&self, i: usize) -> Ref<'_, ChurnRow> {
+        if self.state.borrow().rows[i].is_none() {
+            let mut st = self.state.borrow_mut();
+            let ChurnState {
+                live,
+                rows,
+                materialized,
+            } = &mut *st;
+            assert!(
+                live.contains(i),
+                "sparse churn row requested for dead item {i}: queries are only \
+                 meaningful for live requests"
+            );
+            rows[i] = Some(self.build_row(live, i));
+            materialized.push(item_id(i));
+        }
+        match Ref::filter_map(self.state.borrow(), |s| s.rows[i].as_ref()) {
             Ok(row) => row,
-            Err(_) => unreachable!("ensure_row materialises row {i}"),
+            Err(_) => unreachable!("row {i} was materialised above"),
         }
     }
 
-    /// The arrival patch: marks `item` live, refreshes the touched tile and
-    /// supertile aggregates, and patches every materialised row — inserting
-    /// a stored entry when the inflated contribution reaches the row's
-    /// cutoff, otherwise folding it into the dropped-mass pad. Idempotent
-    /// for an already-live item.
+    /// The arrival patch: marks `item` live and admits it into every
+    /// materialised row. Idempotent for an already-live item.
     fn arrive(&self, item: usize) {
         assert!(item < self.n, "item {item} out of range");
-        {
-            let mut st = self.state.borrow_mut();
-            if st.live[item] {
-                return;
-            }
-            st.live[item] = true;
-            st.live_count += 1;
-            self.refresh_tiles(&mut st, item);
+        let mut st = self.state.borrow_mut();
+        let ChurnState {
+            live,
+            rows,
+            materialized,
+        } = &mut *st;
+        if !live.insert(item) {
+            return;
         }
-        let st = self.state.borrow();
-        let mut store = self.store.borrow_mut();
-        let RowStore { rows, materialized } = &mut *store;
         for &slot in materialized.iter() {
             let i = item_index(slot);
-            if i == item {
-                continue;
-            }
             let Some(row) = rows[i].as_mut() else {
                 debug_assert!(false, "materialized list tracks every row");
                 continue;
             };
-            row.mutations += 1;
-            if row.mutations >= self.refresh_interval {
-                *row = self.build_live_row(&st, i);
-                continue;
-            }
             for port in 0..self.ports {
                 let v = SAFETY * self.raw_contribution(i, port, item);
-                if v >= self.cutoffs[i] {
-                    debug_assert!(
-                        row.get(port, item_id(item)).is_none(),
-                        "arriving item {item} was already stored"
-                    );
-                    row.insert_sorted(port, item_id(item), v);
-                } else {
-                    row.pad_absorb(port, v);
-                }
+                row.admit(port, item_id(item), v, self.cutoffs[i]);
             }
         }
     }
 
-    /// The departure patch: marks `item` dead, refreshes the touched
-    /// aggregates, drops `item`'s own row whole, and patches every surviving
-    /// materialised row — removing the stored entry, or applying the
-    /// corrected deflated subtraction to the dropped-mass pad (see the
-    /// [module docs](self)). Idempotent for an already-dead item.
+    /// The departure patch: marks `item` dead, drops its own row whole, and
+    /// evicts it from every surviving materialised row. Idempotent for an
+    /// already-dead item.
     fn depart(&self, item: usize) {
         assert!(item < self.n, "item {item} out of range");
-        {
-            let mut st = self.state.borrow_mut();
-            if !st.live[item] {
-                return;
-            }
-            st.live[item] = false;
-            st.live_count -= 1;
-            self.refresh_tiles(&mut st, item);
+        let mut st = self.state.borrow_mut();
+        let ChurnState {
+            live,
+            rows,
+            materialized,
+        } = &mut *st;
+        if !live.remove(item) {
+            return;
         }
-        let st = self.state.borrow();
-        let mut store = self.store.borrow_mut();
-        let RowStore { rows, materialized } = &mut *store;
         if rows[item].take().is_some() {
             // Dropping the departed row un-materialises it; `retain` keeps
             // the survivors in their original order.
@@ -762,28 +509,9 @@ impl SparseChurnMatrix {
                 debug_assert!(false, "materialized list tracks every row");
                 continue;
             };
-            row.mutations += 1;
-            if row.mutations >= self.refresh_interval {
-                *row = self.build_live_row(&st, i);
-                continue;
-            }
-            let mut poisoned = false;
             for port in 0..self.ports {
                 let v = SAFETY * self.raw_contribution(i, port, item);
-                if v >= self.cutoffs[i] {
-                    let removed = row.remove_entry(port, item_id(item));
-                    debug_assert!(removed, "stored pair ({i}, {item}) must exist");
-                } else {
-                    // The corrected bound (see `pad_shed` and the module
-                    // docs): the pad can only gain a non-negative residue
-                    // per cycle — tightened back by the guard rebuild.
-                    if !row.pad_shed(port, v).is_finite() {
-                        poisoned = true;
-                    }
-                }
-            }
-            if poisoned {
-                *row = self.build_live_row(&st, i);
+                row.evict(port, item_id(item), v, self.cutoffs[i]);
             }
         }
     }
@@ -804,6 +532,7 @@ impl InterferenceSystem for SparseChurnMatrix {
     /// contract).
     fn sinr(&self, i: usize, others: &[usize]) -> f64 {
         let row = self.row_ref(i);
+        let cutoff = self.cutoffs[i];
         let mut ports = [0.0f64; MAX_PORTS];
         let mut dropped = [0u32; MAX_PORTS];
         for &j in others {
@@ -819,7 +548,7 @@ impl InterferenceSystem for SparseChurnMatrix {
         }
         for (port, slot) in ports.iter_mut().enumerate().take(self.ports) {
             if dropped[port] > 0 {
-                *slot += row.mass[port].min(f64::from(dropped[port]) * row.cap[port]);
+                *slot += pad_mass(row.quanta[port], cutoff).min(f64::from(dropped[port]) * cutoff);
             }
         }
         let worst = ports[..self.ports]
@@ -871,10 +600,10 @@ impl GainBackend for SparseChurnMatrix {
     }
 
     /// Candidate folds hold one row borrow for the whole member walk instead
-    /// of re-entering `stored_contribution` (ensure + `RefCell` borrow +
-    /// lookup) once per member and port. Same members, same interleaved
-    /// order, same stored values — the sums and verdicts are bit-for-bit
-    /// those of the default hook.
+    /// of re-entering `stored_contribution` (materialise check + `RefCell`
+    /// borrow + lookup) once per member and port. Same members, same
+    /// interleaved order, same stored values — the sums and verdicts are
+    /// bit-for-bit those of the default hook.
     fn fold_candidate(
         &self,
         i: usize,
@@ -904,12 +633,14 @@ impl GainBackend for SparseChurnMatrix {
         true
     }
 
-    fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-        self.row_ref(i).cap[port]
+    /// The row cutoff: every pruned inflated contribution is below it by
+    /// definition.
+    fn pruned_cap(&self, i: usize, _port: usize) -> f64 {
+        self.cutoffs[i]
     }
 
     fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-        self.row_ref(i).mass[port]
+        pad_mass(self.row_ref(i).quanta[port], self.cutoffs[i])
     }
 
     fn is_exact(&self) -> bool {
@@ -968,6 +699,43 @@ mod tests {
             .map(|&j| m.raw_contribution(i, port, j))
             .filter(|&raw| SAFETY * raw < m.cutoffs[i])
             .sum()
+    }
+
+    #[test]
+    fn fixed_point_pad_bounds_every_pruned_sum() {
+        let cutoffs = [1e-300, 3.7e-9, 1.0, 0.1 + 0.2, 6.02e23];
+        for &cutoff in &cutoffs {
+            let mut quanta = 0u64;
+            let mut truth = 0.0f64;
+            for k in 0..4096u32 {
+                // Values from the cutoff's own neighbourhood down to far
+                // below one quantum, exact multiples of a quantum included.
+                let frac = match k % 4 {
+                    0 => f64::from(k) / 4096.0,
+                    1 => (f64::from(k) * 0.618_033_988_749).fract(),
+                    2 => f64::from(k) * 1e-15,
+                    _ => 1.0 - f64::from(k) * f64::EPSILON,
+                };
+                let v = SAFETY * (frac * cutoff);
+                if v >= cutoff {
+                    continue;
+                }
+                let q = pad_quanta(v, cutoff);
+                assert!(
+                    (1..=1u64 << 32).contains(&q),
+                    "quanta {q} out of range for v={v}, cutoff={cutoff}"
+                );
+                quanta += q;
+                truth += v / SAFETY;
+                assert!(
+                    pad_mass(quanta, cutoff) >= truth,
+                    "pad {} fell below the true sum {truth} at cutoff {cutoff}",
+                    pad_mass(quanta, cutoff)
+                );
+            }
+        }
+        assert_eq!(pad_quanta(f64::NAN, 1.0), 1u64 << 32);
+        assert_eq!(pad_quanta(0.0, 1.0), 1);
     }
 
     #[test]
@@ -1083,11 +851,10 @@ mod tests {
         }
     }
 
-    /// The satellite-3 regression: with the guard held off, a pruned request
-    /// cycling out and in many times must never push the tracked pad below
-    /// the true live dropped mass — the deflate-then-reinflate subtraction
-    /// leaves a non-negative residue per cycle where subtracting the stored
-    /// inflated value would spend the margin.
+    /// A pruned request cycling out and in many times must never push the
+    /// tracked pad below the true live dropped mass, and every full cycle
+    /// must return the pad to exactly its pre-cycle bits: a departure
+    /// subtracts the very quanta the arrival added.
     #[test]
     fn departure_subtraction_never_erodes_the_pad() {
         let inst = planar_instance();
@@ -1097,91 +864,45 @@ mod tests {
             cutoff_fraction: 0.05,
             ..SparseConfig::default()
         };
-        // Hold the staleness guard far out of reach so every cycle is pure
-        // patch arithmetic.
-        let m = SparseChurnMatrix::new(&view, &config).with_refresh_interval(usize::MAX);
-        // A far pair: row 0 watches, item 11 (other corner) cycles.
+        let m = SparseChurnMatrix::new(&view, &config);
+        // A far pair: row 0 watches, item 11 (other corner) cycles, item 5
+        // keeps a second pruned term in the pad throughout.
         m.note_arrival(0);
+        m.note_arrival(5);
         m.note_arrival(11);
         let port = 0;
         assert!(
             m.stored_contribution(0, port, 11).is_none(),
             "the far pair must actually be pruned for this test to bite"
         );
-        let mut last = f64::INFINITY;
+        let before = m.pruned_mass(0, port);
+        let alone_before = {
+            m.note_departure(11);
+            let alone = m.pruned_mass(0, port);
+            m.note_arrival(11);
+            alone
+        };
         for cycle in 0..200 {
             m.note_departure(11);
             let alone = m.pruned_mass(0, port);
-            assert!(
-                alone >= 0.0,
-                "pad went negative after {cycle} cycles: {alone}"
+            assert_eq!(
+                alone.to_bits(),
+                alone_before.to_bits(),
+                "cycle {cycle}: the pad without item 11 drifted"
             );
+            assert!(alone >= true_pruned_mass(&m, &[0, 5], 0, port));
             m.note_arrival(11);
             let tracked = m.pruned_mass(0, port);
-            let truth = true_pruned_mass(&m, &[0, 11], 0, port);
+            let truth = true_pruned_mass(&m, &[0, 5, 11], 0, port);
             assert!(
                 tracked >= truth,
                 "cycle {cycle}: tracked pad {tracked} dipped below true mass {truth}"
             );
-            // The residue is non-negative: the pad never shrinks across a
-            // full out/in cycle (staleness, not erosion).
-            if last.is_finite() {
-                assert!(
-                    tracked >= last * (1.0 - 1e-15),
-                    "cycle {cycle}: pad shrank from {last} to {tracked}"
-                );
-            }
-            last = tracked;
-        }
-    }
-
-    #[test]
-    fn refresh_interval_one_rebuilds_to_the_pure_live_set_function() {
-        let inst = planar_instance();
-        let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
-        for variant in Variant::all() {
-            let view = eval.view(variant);
-            let config = SparseConfig {
-                cutoff_fraction: 0.05,
-                ..SparseConfig::default()
-            };
-            let n = inst.len();
-            let patched = SparseChurnMatrix::new(&view, &config).with_refresh_interval(1);
-            let mut live: Vec<usize> = Vec::new();
-            for k in 0..30usize {
-                let item = (k * 5 + 1) % n;
-                if k % 3 == 2 && live.contains(&item) {
-                    patched.note_departure(item);
-                    live.retain(|&x| x != item);
-                } else if !live.contains(&item) {
-                    patched.note_arrival(item);
-                    live.push(item);
-                }
-                // Touch every live row so patches (here: rebuilds) apply.
-                for &i in &live {
-                    let _ = patched.pruned_mass(i, 0);
-                }
-                // A fresh backend replaying only the *final* live set must
-                // agree bit-for-bit on every row: pads at interval 1 are a
-                // pure function of the live set.
-                let fresh = SparseChurnMatrix::new(&view, &config).with_refresh_interval(1);
-                for &i in &live {
-                    fresh.note_arrival(i);
-                }
-                for &i in &live {
-                    for port in 0..patched.ports() {
-                        assert_eq!(
-                            patched.pruned_mass(i, port).to_bits(),
-                            fresh.pruned_mass(i, port).to_bits(),
-                            "row {i} pad diverged from the pure rebuild under {variant}"
-                        );
-                        assert_eq!(
-                            patched.pruned_cap(i, port).to_bits(),
-                            fresh.pruned_cap(i, port).to_bits()
-                        );
-                    }
-                }
-            }
+            assert_eq!(
+                tracked.to_bits(),
+                before.to_bits(),
+                "cycle {cycle}: the pad did not return to its pre-cycle bits"
+            );
         }
     }
 

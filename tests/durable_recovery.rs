@@ -173,8 +173,8 @@ fn every_wal_truncation_recovers_the_pre_crash_state() {
 
 /// (universe n, target live, events, checkpoint cadence K) for the
 /// sparse-backed crash sweep — smaller than [`CRASH`] because every
-/// truncation point rebuilds a fresh sparse backend (grid and all), which
-/// is exactly what a post-crash process would do.
+/// truncation point rebuilds a fresh sparse backend, which is exactly what
+/// a post-crash process would do.
 #[cfg(debug_assertions)]
 const SPARSE_CRASH: (usize, usize, usize, usize) = (48, 30, 100, 6);
 #[cfg(not(debug_assertions))]
@@ -182,15 +182,15 @@ const SPARSE_CRASH: (usize, usize, usize, usize) = (120, 72, 360, 12);
 
 #[test]
 fn every_wal_truncation_recovers_the_sparse_backed_state() {
-    // The tentpole's durability criterion: the truncate-at-every-byte sweep
-    // over a session running on the churn-capable **sparse** backend, where
-    // recovery rebuilds the spatial grid from scratch and must still
-    // reproduce the pre-crash coloring bit-for-bit. `refresh_interval(1)`
-    // makes the backend's verdicts a pure function of the live set (every
-    // materialized row is rebuilt from the live aggregates after each
-    // event), so WAL replay on a *fresh* backend re-derives exactly the
-    // recorded placements; a coarse cutoff makes the conservative pads, not
-    // just stored entries, part of the replayed verdicts.
+    // The truncate-at-every-byte sweep over a session running on the
+    // churn-capable **sparse** backend, in the one configuration it has
+    // (the one the daemon's sparse sessions run): recovery starts from a
+    // backend with no materialized rows and must still reproduce the
+    // pre-crash coloring bit-for-bit. The backend's fixed-point pads make
+    // every verdict a pure function of the live set, so WAL replay on a
+    // *fresh* backend re-derives exactly the recorded placements; a coarse
+    // cutoff makes the conservative pads, not just stored entries, part of
+    // the replayed verdicts.
     let (n, target, events, k) = SPARSE_CRASH;
     let (instance, trace) = churn_uniform(n, target, events, 47);
     assert_eq!(trace.len(), events);
@@ -201,7 +201,7 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
         cutoff_fraction: 0.05,
         ..SparseConfig::default()
     };
-    let fresh_backend = || SparseChurnMatrix::new(&view, &sparse_config).with_refresh_interval(1);
+    let fresh_backend = || SparseChurnMatrix::new(&view, &sparse_config);
     let config = DynamicConfig::default();
 
     // Ground truth per prefix, replayed on its own fresh sparse backend.
@@ -248,7 +248,7 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
     assert_eq!(event_records, events, "one insert/remove record per event");
 
     // The sweep, as in the dense harness — but every recovery attempt gets
-    // a brand-new sparse backend (fresh grid, no materialized rows), the
+    // a brand-new sparse backend (no live set, no materialized rows), the
     // post-crash reality.
     let crash_dir = scratch_dir("sparse-crash");
     let crash_wal = crash_dir.join(DiskStore::WAL_FILE);
@@ -281,7 +281,7 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
                 "sparse-backed recovery diverges at byte {b}/snapshot {s} ({ev} events durable)"
             );
             // Certify each distinct recovered state once against the naive
-            // evaluator — the rebuilt grid's verdicts must be conservative,
+            // evaluator — the fresh backend's verdicts must be conservative,
             // not merely self-consistent.
             let at_boundary = b == 0 || wal[b - 1] == b'\n';
             if at_boundary && validated.insert((ev, s)) {

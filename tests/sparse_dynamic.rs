@@ -2,7 +2,9 @@
 //! insert/remove/query interleavings: a [`DynamicScheduler`] running on a
 //! [`SparseChurnMatrix`] must never accept a placement the naive evaluator
 //! rejects, at **any** intermediate state — conservativeness is an invariant
-//! of the whole trajectory, not just the final schedule.
+//! of the whole trajectory, not just the final schedule. A second property
+//! pins history independence: every materialised row reads exactly what a
+//! fresh backend over the same live set reads.
 //!
 //! The release-mode acceptance test at the bottom replays the seed-pinned
 //! large-tier churn workload through the facade-selected sparse session
@@ -12,14 +14,10 @@
 use oblisched::dynamic::{DynamicScheduler, RequestId};
 use oblisched_instances::scaling_uniform;
 use oblisched_sinr::{
-    InterferenceSystem, ObliviousPower, SinrParams, SparseChurnMatrix, SparseConfig, Variant,
+    GainBackend, InterferenceSystem, ObliviousPower, SinrParams, SparseChurnMatrix, SparseConfig,
+    Variant,
 };
 use proptest::prelude::*;
-
-/// The staleness-guard cadences the interleaving sweep exercises: rebuild on
-/// every event (pure function of the live set), a small interval (patches and
-/// rebuilds mix), and the default-sized interval (patch-dominated).
-const REFRESH_INTERVALS: [usize; 3] = [1, 3, 64];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -28,12 +26,10 @@ proptest! {
     fn sparse_dynamic_conservative_under_interleavings(
         seed in any::<u64>(),
         n in 10usize..20,
-        interval_choice in 0usize..3,
         ops in prop::collection::vec((0u8..3, any::<u8>()), 8..48),
     ) {
         let instance = scaling_uniform(n, seed);
         let params = SinrParams::new(3.0, 1.0).unwrap();
-        let interval = REFRESH_INTERVALS[interval_choice];
         for power in ObliviousPower::standard_assignments() {
             let eval = instance.evaluator(params, &power);
             for variant in Variant::all() {
@@ -47,8 +43,7 @@ proptest! {
                         fold_ports,
                         ..SparseConfig::default()
                     };
-                    let matrix =
-                        SparseChurnMatrix::new(&view, &config).with_refresh_interval(interval);
+                    let matrix = SparseChurnMatrix::new(&view, &config);
                     let mut sched = DynamicScheduler::new(&matrix);
                     let mut ids: Vec<Option<RequestId>> = vec![None; n];
                     let mut live: Vec<usize> = Vec::new();
@@ -86,8 +81,7 @@ proptest! {
                                 prop_assert!(
                                     estimate <= truth * (1.0 + 1e-9),
                                     "sparse estimate {estimate} exceeds naive {truth} \
-                                     (item {item}, {variant:?}, fold={fold_ports}, \
-                                     interval={interval})"
+                                     (item {item}, {variant:?}, fold={fold_ports})"
                                 );
                             }
                         }
@@ -98,11 +92,103 @@ proptest! {
                         prop_assert!(
                             certified.is_ok(),
                             "non-conservative accept at an intermediate state: {certified:?} \
-                             ({variant:?}, fold={fold_ports}, interval={interval})"
+                             ({variant:?}, fold={fold_ports})"
                         );
                     }
                     // Structural consistency and drift of the final state.
                     sched.validate().unwrap();
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// History independence: after every event of a random interleaving,
+    /// each materialised row of the patched backend — built whenever it was
+    /// first probed and patched ever since — reads exactly the pad, cap and
+    /// stored entries of a fresh backend that only ever saw the current live
+    /// set (arriving in a different order). This is what lets WAL recovery
+    /// on a fresh backend re-derive the pre-crash coloring.
+    #[test]
+    fn sparse_churn_rows_are_a_pure_function_of_the_live_set(
+        seed in any::<u64>(),
+        n in 10usize..20,
+        ops in prop::collection::vec((any::<bool>(), any::<u8>(), any::<u8>()), 8..64),
+    ) {
+        let instance = scaling_uniform(n, seed);
+        let params = SinrParams::new(3.0, 1.0).unwrap();
+        for power in ObliviousPower::standard_assignments() {
+            let eval = instance.evaluator(params, &power);
+            for variant in Variant::all() {
+                let view = eval.view(variant);
+                for fold_ports in [true, false] {
+                    let config = SparseConfig {
+                        cutoff_fraction: 0.05,
+                        fold_ports,
+                        ..SparseConfig::default()
+                    };
+                    let patched = SparseChurnMatrix::new(&view, &config);
+                    let mut live: Vec<usize> = Vec::new();
+                    let mut dead: Vec<usize> = (0..n).collect();
+                    // The live items probed since their latest arrival:
+                    // exactly the rows `patched` has materialised.
+                    let mut probed: Vec<usize> = Vec::new();
+                    for &(arrive, pick, probe) in &ops {
+                        let pick = pick as usize;
+                        if arrive && !dead.is_empty() {
+                            let item = dead.swap_remove(pick % dead.len());
+                            patched.note_arrival(item);
+                            live.push(item);
+                        } else if !live.is_empty() {
+                            let item = live.swap_remove(pick % live.len());
+                            patched.note_departure(item);
+                            probed.retain(|&x| x != item);
+                            dead.push(item);
+                        } else {
+                            continue;
+                        }
+                        // Every other event materialises one more row, so
+                        // rows carry different build points and patch runs.
+                        if probe % 2 == 0 && !live.is_empty() {
+                            let i = live[usize::from(probe / 2) % live.len()];
+                            let _ = patched.pruned_mass(i, 0);
+                            if !probed.contains(&i) {
+                                probed.push(i);
+                            }
+                        }
+                        prop_assert_eq!(patched.materialized_rows(), probed.len());
+
+                        let fresh = SparseChurnMatrix::new(&view, &config);
+                        let mut arrivals = live.clone();
+                        arrivals.sort_unstable();
+                        for &item in &arrivals {
+                            fresh.note_arrival(item);
+                        }
+                        for &i in &probed {
+                            for port in 0..patched.ports() {
+                                let row = |m: &SparseChurnMatrix| {
+                                    let stored: Vec<Option<u64>> = (0..n)
+                                        .map(|j| m.stored_contribution(i, port, j).map(f64::to_bits))
+                                        .collect();
+                                    (
+                                        m.pruned_mass(i, port).to_bits(),
+                                        m.pruned_cap(i, port).to_bits(),
+                                        stored,
+                                    )
+                                };
+                                prop_assert!(
+                                    row(&patched) == row(&fresh),
+                                    "row ({i}, {port}) depends on its history: patched \
+                                     {:?}, fresh {:?} ({variant:?}, fold={fold_ports})",
+                                    row(&patched),
+                                    row(&fresh)
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
