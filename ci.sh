@@ -54,42 +54,15 @@ echo "==> sparse dynamic certification + churn acceptance (release)"
 # golden_sparse_churn stage above.
 SPARSE_CHURN_SMOKE="${SPARSE_CHURN_SMOKE:-1}" cargo test -q --release -p oblisched-suite --test sparse_dynamic
 
-echo "==> jobs runner smoke (JSONL golden)"
-# The typed job API end to end: run the committed smoke job file (every
-# solve strategy as data) through the `jobs` binary and diff the
-# deterministic (--no-timing) report against the golden file. Run with
-# GOLDEN_UPDATE=1 to regenerate after an *intentional* behaviour change,
-# matching the schedule-golden convention.
-jobs_out="$(mktemp)"
-cargo run -q -p oblisched_bench --bin jobs --release -- --no-timing examples/jobs/smoke.jsonl > "$jobs_out"
-if [ "${GOLDEN_UPDATE:-}" = "1" ]; then
-  cp "$jobs_out" examples/jobs/smoke.golden.jsonl
-  echo "jobs golden rewritten at examples/jobs/smoke.golden.jsonl"
-else
-  diff -u examples/jobs/smoke.golden.jsonl "$jobs_out"
-fi
-rm -f "$jobs_out"
-
-echo "==> durable session smoke (JSONL golden)"
-# Same convention for the durable-session job lines: each line opens an
-# on-disk WAL-backed session, crashes it mid-trace, recovers, and reports
-# `recovered_identical` — the diff fails if recovery ever stops being exact.
-sessions_out="$(mktemp)"
-cargo run -q -p oblisched_bench --bin jobs --release -- --no-timing examples/jobs/session_smoke.jsonl > "$sessions_out"
-if [ "${GOLDEN_UPDATE:-}" = "1" ]; then
-  cp "$sessions_out" examples/jobs/session_smoke.golden.jsonl
-  echo "session golden rewritten at examples/jobs/session_smoke.golden.jsonl"
-else
-  diff -u examples/jobs/session_smoke.golden.jsonl "$sessions_out"
-fi
-rm -f "$sessions_out"
-
 echo "==> server daemon smoke (wire golden + concurrent load + clean shutdown)"
 # End-to-end over a real socket: start the daemon on an ephemeral port with a
 # throwaway data dir and --no-timing (wall_ms pinned to 0 so the transcript
 # is byte-deterministic), replay the committed wire transcript, and diff the
 # responses against the golden file — GOLDEN_UPDATE=1 regenerates, matching
-# the other golden stages. The transcript includes the malformed-JSON
+# the other golden stages. Its solve lines cover every solve strategy across
+# the generator families (first-fit on both backend policies, parallel, power
+# control, both square-root strategies, the directed variant), plus typed
+# family and schedule errors. The transcript includes the malformed-JSON
 # negative control: the daemon must answer it with a typed bad_request error
 # and keep the connection alive through the final ping.
 # The root build above only covers the umbrella crate; make sure the daemon

@@ -12,6 +12,7 @@ use oblisched::scheduler::{
 use oblisched::solve::BackendPolicy;
 use oblisched_instances::{ChurnEvent, ChurnTrace};
 use oblisched_metric::EuclideanSpace;
+use oblisched_server::session::fingerprint64;
 use oblisched_sinr::{GainBackend, Instance, ObliviousPower, SinrParams, Variant};
 
 /// Replays a trace through the dynamic scheduler (one `insert`/`remove` per
@@ -234,14 +235,17 @@ pub fn sparse_churn_outcome(
         backend_bytes <= DEFAULT_MATRIX_BUDGET,
         "sparse session backend grew past the engine budget: {backend_bytes} bytes"
     );
-    let schedule_fingerprint =
-        crate::perf::fingerprint64(sched.color_classes().into_iter().enumerate().flat_map(
-            |(color, class)| {
+    let schedule_fingerprint = fingerprint64(
+        sched
+            .color_classes()
+            .into_iter()
+            .enumerate()
+            .flat_map(|(color, class)| {
                 class
                     .into_iter()
                     .flat_map(move |item| [item as u64, color as u64])
-            },
-        ));
+            }),
+    );
     SparseChurnOutcome {
         universe: trace.universe,
         events: trace.len(),

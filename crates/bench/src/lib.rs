@@ -17,7 +17,6 @@
 
 pub mod churn;
 pub mod experiments;
-pub mod jobs;
 pub mod perf;
 pub mod table;
 pub mod tiers;
@@ -27,10 +26,6 @@ pub use churn::{
     replay_incremental_with,
 };
 pub use experiments::{all_experiments, run_experiment, Experiment};
-pub use jobs::{
-    run_job, run_jobs_document, run_session, JobError, JobReport, JobSpec, SessionJob,
-    SessionReport, SessionSpec,
-};
 pub use perf::{run_suite, PerfCase, PerfReport};
 pub use table::Table;
 pub use tiers::{

@@ -20,6 +20,7 @@
 use crate::tiers::{parallel_tier_config, parallel_tier_sparse_config, TIER_SEED};
 use oblisched::{first_fit_coloring, parallel_first_fit, tile_shards, DEFAULT_TARGET_SHARDS};
 use oblisched_instances::{churn_uniform, churn_uniform_10k, scaling_uniform};
+use oblisched_server::session::fingerprint64;
 use oblisched_sinr::{
     GainMatrix, ObliviousPower, Schedule, SinrParams, SparseConfig, SparseGainMatrix, Variant,
 };
@@ -78,18 +79,6 @@ impl PerfReport {
             notes: Vec::new(),
         }
     }
-}
-
-/// 64-bit FNV-1a over a stream of words — the suite's fingerprint hash.
-pub fn fingerprint64(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// The fingerprint of a schedule: its length followed by every color, in

@@ -4,7 +4,6 @@
 //! configurations (the same convention the churn replay helpers establish
 //! for E10).
 
-use oblisched::solve::{PowerAssignment, SolveRequest};
 use oblisched::ParallelConfig;
 use oblisched_sinr::{Evaluator, Schedule, SparseConfig, Variant};
 
@@ -30,15 +29,6 @@ pub fn parallel_tier_config(num_threads: usize) -> ParallelConfig {
         num_threads,
         shard_gain_slack: 3.0,
     }
-}
-
-/// The parallel tier as a typed job: the [`SolveRequest`] equivalent of
-/// [`parallel_tier_sparse_config`], ready for a JSONL job file. Pair it
-/// with `Scheduler::parallel_config(parallel_tier_config(num_threads))`
-/// when the shard gain slack should match the tier measurements too.
-pub fn parallel_tier_request(num_threads: usize) -> SolveRequest {
-    SolveRequest::parallel(PowerAssignment::SquareRoot, num_threads)
-        .with_sparse_config(parallel_tier_sparse_config())
 }
 
 /// Counts the multi-member classes of `schedule` that the naive evaluator
@@ -67,12 +57,6 @@ mod tests {
         assert_eq!(parallel_tier_config(8).num_threads, 8);
         assert!(parallel_tier_config(1).shard_gain_slack >= 1.0);
         assert!(parallel_tier_sparse_config().cutoff_fraction > 0.0);
-        let request = parallel_tier_request(4);
-        assert_eq!(
-            request.strategy,
-            oblisched::solve::SolveStrategy::Parallel { num_threads: 4 }
-        );
-        assert_eq!(request.sparse, Some(parallel_tier_sparse_config()));
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! A facade bundling parameters, problem variant and algorithm choice.
+//! A facade bundling the SINR parameters and the algorithm choice.
 //!
 //! Most users only want "give me a schedule for this instance"; the
-//! [`Scheduler`] builder wraps the individual algorithms of this crate behind
-//! one entry point — [`Scheduler::solve`], which consumes a typed,
-//! serializable [`SolveRequest`] and returns a [`ScheduleResult`] whose
-//! schedule has been validated against the exact SINR checker, or a typed
-//! [`ScheduleError`]. The older per-algorithm `schedule_*` methods remain as
-//! `#[deprecated]` thin wrappers for one release.
+//! [`Scheduler`] wraps the individual algorithms of this crate behind one
+//! entry point — [`Scheduler::solve`], which consumes a typed, serializable
+//! [`SolveRequest`] and returns a [`ScheduleResult`] whose schedule has been
+//! validated against the exact SINR checker, or a typed [`ScheduleError`].
 
 use crate::decomposition::{sqrt_schedule_via_decomposition, DecompositionConfig};
 use crate::greedy::first_fit_coloring;
@@ -21,10 +19,9 @@ use oblisched_sinr::engine::{RowRef, MAX_PORTS};
 use oblisched_sinr::feasibility::VariantView;
 use oblisched_sinr::{
     Evaluator, GainBackend, GainMatrix, IncrementalSystem, Instance, InterferenceSystem,
-    ObliviousPower, PowerScheme, Schedule, SinrError, SinrParams, SparseChurnMatrix, SparseConfig,
+    ObliviousPower, Schedule, SinrError, SinrParams, SparseChurnMatrix, SparseConfig,
     SparseGainMatrix, Variant,
 };
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -56,7 +53,8 @@ impl fmt::Display for EngineBackend {
 /// How the facade answered the backend question for one run: which tier it
 /// chose, what it would have cost to go dense, and against which budget the
 /// decision was made. Surfaced in every [`ScheduleResult`] so the choice is
-/// never silent (the experiments binary and the `jobs` runner log it).
+/// never silent (the experiments binary and the daemon's `solved` responses
+/// report it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// The backend the run used.
@@ -344,10 +342,7 @@ impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scheduler {
     params: SinrParams,
-    variant: Variant,
     matrix_budget: usize,
-    sparse_config: SparseConfig,
-    parallel_config: ParallelConfig,
 }
 
 /// Default memory budget for the cached [`GainMatrix`]: below this size the
@@ -357,24 +352,13 @@ pub struct Scheduler {
 pub const DEFAULT_MATRIX_BUDGET: usize = 64 * 1024 * 1024;
 
 impl Scheduler {
-    /// Creates a scheduler for the bidirectional variant (the paper's main
-    /// setting) with the given parameters.
+    /// Creates a scheduler with the given parameters and the default
+    /// [`DEFAULT_MATRIX_BUDGET`].
     pub fn new(params: SinrParams) -> Self {
         Self {
             params,
-            variant: Variant::Bidirectional,
             matrix_budget: DEFAULT_MATRIX_BUDGET,
-            sparse_config: SparseConfig::default(),
-            parallel_config: ParallelConfig::default(),
         }
-    }
-
-    /// Selects the default problem variant used by the deprecated
-    /// `schedule_*` wrappers ([`Scheduler::solve`] takes the variant from
-    /// its [`SolveRequest`] instead).
-    pub fn variant(mut self, variant: Variant) -> Self {
-        self.variant = variant;
-        self
     }
 
     /// Sets the memory budget (in bytes) under which the facade caches the
@@ -385,38 +369,24 @@ impl Scheduler {
         self
     }
 
-    /// Sets the [`SparseConfig`] used whenever the facade falls back to the
-    /// spatially-pruned backend ([`BackendPolicy::Auto`]).
-    pub fn sparse_config(mut self, config: SparseConfig) -> Self {
-        self.sparse_config = config;
-        self
-    }
-
-    /// Sets the [`ParallelConfig`] (gain slack, default thread count) used
-    /// by the [`SolveStrategy::Parallel`] strategy.
-    pub fn parallel_config(mut self, config: ParallelConfig) -> Self {
-        self.parallel_config = config;
-        self
-    }
-
     /// The SINR parameters.
     pub fn params(&self) -> SinrParams {
         self.params
     }
 
-    /// The default problem variant.
-    pub fn problem_variant(&self) -> Variant {
-        self.variant
-    }
-
     /// Solves one typed scheduling request — the single entry point every
-    /// strategy, example, experiment and the `jobs` JSONL runner share.
+    /// strategy, example, experiment and the daemon's `solve` verb share.
     ///
-    /// The request's options override the scheduler's configured defaults
-    /// for this run (variant always comes from the request; budget and
-    /// sparse knobs only when set). Validation failures and infeasible
-    /// configurations are reported as [`ScheduleError`] instead of
-    /// panicking.
+    /// The variant, backend policy and seed come from the request; its
+    /// `matrix_budget` overrides the scheduler's budget and its `sparse`
+    /// overrides the default [`SparseConfig`] when set. Validation failures
+    /// and infeasible configurations are reported as [`ScheduleError`]
+    /// instead of panicking.
+    ///
+    /// With ambient noise a request can be infeasible even in a slot of its
+    /// own (`signal / noise < β`); the first-fit strategies still give such
+    /// a request its own color — the best any schedule can do — and return
+    /// the result rather than rejecting it.
     ///
     /// # Errors
     ///
@@ -434,259 +404,71 @@ impl Scheduler {
     where
         M: MetricSpace + PlanarMetric + Sync,
     {
-        let mut eff = *self;
-        eff.variant = request.variant;
-        if let Some(budget) = request.matrix_budget {
-            eff.matrix_budget = budget;
-        }
-        if let Some(sparse) = request.sparse {
-            eff.sparse_config = sparse;
-        }
-        let assignment = Assignment::from(request.assignment);
+        let eff = Scheduler {
+            matrix_budget: request.matrix_budget.unwrap_or(self.matrix_budget),
+            ..*self
+        };
         match request.strategy {
-            SolveStrategy::FirstFit => match request.backend {
-                BackendPolicy::Exact => {
-                    eff.first_fit_exact(instance, request.assignment.scheme(), assignment)
-                }
-                BackendPolicy::Auto => {
-                    eff.first_fit_auto(instance, request.assignment.scheme(), assignment)
-                }
-            },
-            SolveStrategy::Parallel { num_threads } => eff.parallel_impl(
-                instance,
-                request.assignment.scheme(),
-                assignment,
-                num_threads,
-                request.backend,
-            ),
-            SolveStrategy::PowerControl => eff.power_control_impl(instance),
-            SolveStrategy::SqrtColoring => {
-                let mut rng = ChaCha8Rng::seed_from_u64(request.seed);
-                eff.sqrt_lp_impl(instance, &mut rng)
+            SolveStrategy::FirstFit | SolveStrategy::Parallel { .. } => {
+                eff.first_fit_impl(instance, request)
             }
-            SolveStrategy::SqrtDecomposition => {
-                let mut rng = ChaCha8Rng::seed_from_u64(request.seed);
-                eff.sqrt_decomposition_impl(instance, &mut rng)
+            SolveStrategy::PowerControl => eff.power_control_impl(instance, request.variant),
+            SolveStrategy::SqrtColoring | SolveStrategy::SqrtDecomposition => {
+                eff.sqrt_impl(instance, request)
             }
         }
     }
 
-    /// Schedules with greedy first-fit under a fixed power scheme.
-    ///
-    /// With ambient noise a request can be infeasible even in a slot of its
-    /// own (`signal / noise < β`); first-fit still gives such a request its
-    /// own color — the best any schedule can do — and the result is returned
-    /// rather than rejected.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::first_fit(..).with_backend(BackendPolicy::Exact)"
-    )]
-    pub fn schedule_with_assignment<M: MetricSpace, P: PowerScheme>(
+    /// The first-fit paths, sequential ([`SolveStrategy::FirstFit`]) or
+    /// tile-sharded ([`SolveStrategy::Parallel`]: shard coloring on worker
+    /// threads, then a deterministic conflict-repair merge — the schedule is
+    /// identical for every thread count). The backend follows the request's
+    /// [`BackendPolicy`]: the dense matrix under the budget; above it the
+    /// spatially-pruned sparse backend under `Auto` (conservative verdicts,
+    /// so the schedule still validates against the exact evaluator; it may
+    /// spend a few more colors, which `strict` in [`SparseConfig`] buys
+    /// back) or uncached exact contributions under `Exact`.
+    fn first_fit_impl<M>(
         &self,
         instance: &Instance<M>,
-        scheme: P,
-    ) -> ScheduleResult {
-        let assignment = Assignment::from_scheme_name(&scheme.name());
-        self.first_fit_exact(instance, scheme, assignment)
-            .expect("first-fit schedules every valid instance")
-    }
-
-    /// Schedules with greedy first-fit under a fixed power scheme,
-    /// auto-selecting the interference backend by memory budget: the dense
-    /// [`GainMatrix`] when it fits, the spatially-pruned
-    /// [`SparseGainMatrix`] otherwise.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::first_fit(..) (BackendPolicy::Auto is the default)"
-    )]
-    pub fn schedule_with_assignment_auto<M, P>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-    ) -> ScheduleResult
-    where
-        M: MetricSpace + PlanarMetric,
-        P: PowerScheme,
-    {
-        let assignment = Assignment::from_scheme_name(&scheme.name());
-        self.first_fit_auto(instance, scheme, assignment)
-            .expect("first-fit schedules every valid instance")
-    }
-
-    /// Parallel batch scheduling: partitions the requests by spatial grid
-    /// tile, colors the shards on `num_threads` worker threads (`0` = one
-    /// per core) and merges the shard colorings with a deterministic
-    /// conflict-repair pass.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::parallel(assignment, num_threads)"
-    )]
-    pub fn schedule_parallel<M, P>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-        num_threads: usize,
-    ) -> ScheduleResult
-    where
-        M: MetricSpace + PlanarMetric + Sync,
-        P: PowerScheme,
-    {
-        let assignment = Assignment::from_scheme_name(&scheme.name());
-        self.parallel_impl(
-            instance,
-            scheme,
-            assignment,
-            num_threads,
-            BackendPolicy::Auto,
-        )
-        .expect("parallel first-fit schedules every valid instance")
-    }
-
-    /// Schedules with greedy first-fit where each color class gets its own
-    /// optimised (non-oblivious) power assignment.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::power_control()"
-    )]
-    pub fn schedule_with_power_control<M: MetricSpace>(
-        &self,
-        instance: &Instance<M>,
-    ) -> ScheduleResult {
-        self.power_control_impl(instance)
-            .expect("power-controlled schedules are feasible by construction")
-    }
-
-    /// Schedules with the §5 randomized LP-rounding algorithm for the
-    /// square-root assignment (bidirectional variant only).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::sqrt_coloring(seed)"
-    )]
-    pub fn schedule_sqrt_lp<M: MetricSpace, R: Rng + ?Sized>(
-        &self,
-        instance: &Instance<M>,
-        rng: &mut R,
-    ) -> ScheduleResult {
-        self.sqrt_lp_impl(instance, rng)
-            .expect("the square-root LP coloring applies to the bidirectional variant")
-    }
-
-    /// Schedules with the Theorem 2 decomposition pipeline (tree embeddings +
-    /// star analysis) for the square-root assignment (bidirectional variant
-    /// only).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::sqrt_decomposition(seed)"
-    )]
-    pub fn schedule_sqrt_decomposition<M: MetricSpace, R: Rng + ?Sized>(
-        &self,
-        instance: &Instance<M>,
-        rng: &mut R,
-    ) -> ScheduleResult {
-        self.sqrt_decomposition_impl(instance, rng)
-            .expect("the decomposition pipeline applies to the bidirectional variant")
-    }
-
-    /// The exact-tier first-fit path: dense matrix under the budget,
-    /// uncached on-the-fly contributions above it (exact verdicts for any
-    /// metric space, no planarity required).
-    fn first_fit_exact<M: MetricSpace, P: PowerScheme>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-        assignment: Assignment,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let evaluator = instance.evaluator(self.params, &scheme);
-        let view = evaluator.view(self.variant);
-        let ports = view.num_ports();
-        let (schedule, engine) = if self.dense_fits(instance.len(), ports) {
-            let stats = self.dense_stats(instance.len(), ports);
-            (first_fit_coloring(&view.cached()), stats)
-        } else {
-            (
-                first_fit_coloring(&view),
-                EngineStats::on_the_fly(instance.len(), ports, self.matrix_budget),
-            )
-        };
-        let label = SolveLabel::new(Algorithm::FirstFit, assignment);
-        self.check_first_fit(&schedule, &evaluator, &label)?;
-        Ok(ScheduleResult {
-            schedule,
-            powers: evaluator.powers().to_vec(),
-            label,
-            engine,
-        })
-    }
-
-    /// The auto-tier first-fit path: dense matrix under the budget, the
-    /// spatially-pruned sparse backend above it — the tier that keeps
-    /// `n ≥ 10⁴` planar instances cached where the dense matrix would need
-    /// gigabytes. Sparse verdicts are conservative, so the returned
-    /// schedule validates against the exact evaluator just like the dense
-    /// one (it may spend a few more colors; `strict` in [`SparseConfig`]
-    /// buys them back).
-    fn first_fit_auto<M, P>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-        assignment: Assignment,
-    ) -> Result<ScheduleResult, ScheduleError>
-    where
-        M: MetricSpace + PlanarMetric,
-        P: PowerScheme,
-    {
-        let evaluator = instance.evaluator(self.params, &scheme);
-        let view = evaluator.view(self.variant);
-        let (backend, engine) = self.select_backend(&view, instance.len(), 1, BackendPolicy::Auto);
-        let schedule = match &backend {
-            SelectedBackend::Dense(matrix) => first_fit_coloring(matrix),
-            SelectedBackend::Sparse(sparse) => first_fit_coloring(sparse.as_ref()),
-            SelectedBackend::Fly(view) => first_fit_coloring(*view),
-        };
-        let label = SolveLabel::new(Algorithm::FirstFitAuto, assignment);
-        self.check_first_fit(&schedule, &evaluator, &label)?;
-        Ok(ScheduleResult {
-            schedule,
-            powers: evaluator.powers().to_vec(),
-            label,
-            engine,
-        })
-    }
-
-    /// The parallel batch path: tile shards, shard coloring on worker
-    /// threads, deterministic conflict-repair merge — the schedule is
-    /// identical for every thread count. The backend follows the request's
-    /// [`BackendPolicy`] (sparse fallback under `Auto`, uncached exact
-    /// contributions under `Exact`).
-    fn parallel_impl<M, P>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-        assignment: Assignment,
-        num_threads: usize,
-        policy: BackendPolicy,
+        request: &SolveRequest,
     ) -> Result<ScheduleResult, ScheduleError>
     where
         M: MetricSpace + PlanarMetric + Sync,
-        P: PowerScheme,
     {
-        let evaluator = instance.evaluator(self.params, &scheme);
-        let view = evaluator.view(self.variant);
-        let shards = tile_shards(instance, DEFAULT_TARGET_SHARDS);
-        let config = ParallelConfig {
-            num_threads,
-            ..self.parallel_config
-        };
-        let (backend, engine) = self.select_backend(&view, instance.len(), num_threads, policy);
-        let schedule = match &backend {
-            SelectedBackend::Dense(matrix) => parallel_first_fit(matrix, &shards, &config),
-            SelectedBackend::Sparse(sparse) => {
-                parallel_first_fit(sparse.as_ref(), &shards, &config)
+        let evaluator = instance.evaluator(self.params, &request.assignment.scheme());
+        let view = evaluator.view(request.variant);
+        let (algorithm, parallel) = match request.strategy {
+            SolveStrategy::Parallel { num_threads } => {
+                let shards = tile_shards(instance, DEFAULT_TARGET_SHARDS);
+                let config = ParallelConfig {
+                    num_threads,
+                    ..ParallelConfig::default()
+                };
+                (Algorithm::ParallelFirstFit, Some((shards, config)))
             }
-            SelectedBackend::Fly(view) => parallel_first_fit(*view, &shards, &config),
+            _ if request.backend == BackendPolicy::Exact => (Algorithm::FirstFit, None),
+            _ => (Algorithm::FirstFitAuto, None),
         };
-        let label = SolveLabel::new(Algorithm::ParallelFirstFit, assignment);
-        self.check_first_fit(&schedule, &evaluator, &label)?;
+        let num_threads = parallel
+            .as_ref()
+            .map_or(1, |(_, config)| config.num_threads);
+        let sparse_config = request.sparse.unwrap_or_default();
+        let (backend, engine) = self.select_backend(
+            &view,
+            instance.len(),
+            num_threads,
+            request.backend,
+            sparse_config,
+        );
+        let parallel = parallel.as_ref();
+        let schedule = match &backend {
+            SelectedBackend::Dense(matrix) => color(matrix, parallel),
+            SelectedBackend::Sparse(sparse) => color(sparse.as_ref(), parallel),
+            SelectedBackend::Fly(view) => color(*view, parallel),
+        };
+        let label = SolveLabel::new(algorithm, Assignment::from(request.assignment));
+        self.check_first_fit(&schedule, &evaluator, request.variant, &label)?;
         Ok(ScheduleResult {
             schedule,
             powers: evaluator.powers().to_vec(),
@@ -698,19 +480,20 @@ impl Scheduler {
     fn power_control_impl<M: MetricSpace>(
         &self,
         instance: &Instance<M>,
+        variant: Variant,
     ) -> Result<ScheduleResult, ScheduleError> {
         let (schedule, powers) = greedy_with_power_control(
             instance,
             &self.params,
-            self.variant,
+            variant,
             PowerControlConfig::default(),
         );
         let label = SolveLabel::new(Algorithm::FirstFit, Assignment::PowerControl);
         let evaluator = Evaluator::with_powers(instance, self.params, powers.clone())?;
-        self.require_valid(&schedule, &evaluator, &label)?;
+        self.require_valid(&schedule, &evaluator, variant, &label)?;
         let engine = EngineStats::on_the_fly(
             instance.len(),
-            evaluator.view(self.variant).num_ports(),
+            evaluator.view(variant).num_ports(),
             self.matrix_budget,
         );
         Ok(ScheduleResult {
@@ -721,56 +504,39 @@ impl Scheduler {
         })
     }
 
-    fn sqrt_lp_impl<M: MetricSpace, R: Rng + ?Sized>(
+    /// The square-root strategies — the §5 randomized LP-rounding coloring
+    /// and the Theorem 2 decomposition pipeline (tree embeddings + star
+    /// analysis) — seeded from the request. Bidirectional only: the paper's
+    /// guarantee does not exist for directed requests.
+    fn sqrt_impl<M: MetricSpace>(
         &self,
         instance: &Instance<M>,
-        rng: &mut R,
+        request: &SolveRequest,
     ) -> Result<ScheduleResult, ScheduleError> {
-        self.require_bidirectional(SolveStrategy::SqrtColoring)?;
-        let schedule = sqrt_coloring(instance, &self.params, &SqrtColoringConfig::default(), rng);
-        let label = SolveLabel::new(Algorithm::LpRounding, Assignment::SquareRoot);
-        self.certified_sqrt_result(instance, schedule, label)
-    }
-
-    fn sqrt_decomposition_impl<M: MetricSpace, R: Rng + ?Sized>(
-        &self,
-        instance: &Instance<M>,
-        rng: &mut R,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.require_bidirectional(SolveStrategy::SqrtDecomposition)?;
-        let schedule = sqrt_schedule_via_decomposition(
-            instance,
-            &self.params,
-            &DecompositionConfig::default(),
-            rng,
-        );
-        let label = SolveLabel::new(Algorithm::Decomposition, Assignment::SquareRoot);
-        self.certified_sqrt_result(instance, schedule, label)
-    }
-
-    fn require_bidirectional(&self, strategy: SolveStrategy) -> Result<(), ScheduleError> {
-        if self.variant == Variant::Bidirectional {
-            Ok(())
-        } else {
-            Err(ScheduleError::UnsupportedVariant {
-                strategy,
-                variant: self.variant,
-            })
+        let variant = request.variant;
+        if variant != Variant::Bidirectional {
+            return Err(ScheduleError::UnsupportedVariant {
+                strategy: request.strategy,
+                variant,
+            });
         }
-    }
-
-    /// Validates a square-root-certified schedule and assembles its result.
-    fn certified_sqrt_result<M: MetricSpace>(
-        &self,
-        instance: &Instance<M>,
-        schedule: Schedule,
-        label: SolveLabel,
-    ) -> Result<ScheduleResult, ScheduleError> {
+        let mut rng = ChaCha8Rng::seed_from_u64(request.seed);
+        let (schedule, algorithm) = if request.strategy == SolveStrategy::SqrtColoring {
+            let config = SqrtColoringConfig::default();
+            let schedule = sqrt_coloring(instance, &self.params, &config, &mut rng);
+            (schedule, Algorithm::LpRounding)
+        } else {
+            let config = DecompositionConfig::default();
+            let schedule =
+                sqrt_schedule_via_decomposition(instance, &self.params, &config, &mut rng);
+            (schedule, Algorithm::Decomposition)
+        };
+        let label = SolveLabel::new(algorithm, Assignment::SquareRoot);
         let evaluator = instance.evaluator(self.params, &ObliviousPower::SquareRoot);
-        self.require_valid(&schedule, &evaluator, &label)?;
+        self.require_valid(&schedule, &evaluator, variant, &label)?;
         let engine = EngineStats::on_the_fly(
             instance.len(),
-            evaluator.view(self.variant).num_ports(),
+            evaluator.view(variant).num_ports(),
             self.matrix_budget,
         );
         Ok(ScheduleResult {
@@ -789,9 +555,8 @@ impl Scheduler {
         GainMatrix::checked_bytes_for(n, ports).is_some_and(|bytes| bytes <= self.matrix_budget)
     }
 
-    /// The one place the backend tier decision is made (it used to be
-    /// copy-pasted across the first-fit entry points): the dense matrix
-    /// when it fits the budget; above it, the spatially-pruned sparse
+    /// The one place the batch backend tier decision is made: the dense
+    /// matrix when it fits the budget; above it, the spatially-pruned sparse
     /// backend under [`BackendPolicy::Auto`] or the uncached view under
     /// [`BackendPolicy::Exact`]. `num_threads` is the caller's scheduling
     /// parallelism — when the caller asked for parallelism and the sparse
@@ -803,6 +568,7 @@ impl Scheduler {
         n: usize,
         num_threads: usize,
         policy: BackendPolicy,
+        mut sparse_config: SparseConfig,
     ) -> (SelectedBackend<'v, 'e, 'a, M>, EngineStats)
     where
         M: MetricSpace + PlanarMetric,
@@ -816,11 +582,10 @@ impl Scheduler {
         } else {
             match policy {
                 BackendPolicy::Auto => {
-                    let mut sparse_cfg = self.sparse_config;
-                    if sparse_cfg.build_threads == 1 && num_threads != 1 {
-                        sparse_cfg.build_threads = num_threads;
+                    if sparse_config.build_threads == 1 && num_threads != 1 {
+                        sparse_config.build_threads = num_threads;
                     }
-                    let sparse = SparseGainMatrix::build(view, &sparse_cfg);
+                    let sparse = SparseGainMatrix::build(view, &sparse_config);
                     let stats = self.sparse_stats(&sparse, ports);
                     (SelectedBackend::Sparse(Box::new(sparse)), stats)
                 }
@@ -846,15 +611,14 @@ impl Scheduler {
 
     /// Picks the interference backend for a **dynamic session** over `view`
     /// — the churn counterpart of the batch tier decision inside
-    /// [`solve`](Scheduler::solve), sharing its budget and
-    /// [`SparseConfig`]. Under [`BackendPolicy::Auto`] the session gets the
-    /// dense [`GainMatrix`] while it fits
-    /// [`matrix_budget`](Scheduler::matrix_budget), and the churn-capable
-    /// [`SparseChurnMatrix`] above it (built over the full universe with
-    /// every request initially dead — the session's inserts and removes
-    /// drive it through the engine's churn hooks). Under
-    /// [`BackendPolicy::Exact`] the over-budget fallback is the uncached
-    /// exact view instead.
+    /// [`solve`](Scheduler::solve), sharing its budget. Under
+    /// [`BackendPolicy::Auto`] the session gets the dense [`GainMatrix`]
+    /// while it fits [`matrix_budget`](Scheduler::matrix_budget), and the
+    /// churn-capable [`SparseChurnMatrix`] (default [`SparseConfig`]) above
+    /// it (built over the full universe with every request initially dead —
+    /// the session's inserts and removes drive it through the engine's churn
+    /// hooks). Under [`BackendPolicy::Exact`] the over-budget fallback is the
+    /// uncached exact view instead.
     ///
     /// The reported [`EngineStats::bytes`] is the backend's footprint at
     /// selection time; the sparse tier grows as the session materialises
@@ -877,7 +641,7 @@ impl Scheduler {
         } else {
             match policy {
                 BackendPolicy::Auto => {
-                    let sparse = SparseChurnMatrix::new(view, &self.sparse_config);
+                    let sparse = SparseChurnMatrix::new(view, &SparseConfig::default());
                     let stats = EngineStats {
                         backend: EngineBackend::Sparse,
                         n,
@@ -918,15 +682,16 @@ impl Scheduler {
         &self,
         schedule: &Schedule,
         evaluator: &Evaluator<'_, M>,
+        variant: Variant,
         label: &SolveLabel,
     ) -> Result<(), ScheduleError> {
-        if schedule.validate(evaluator, self.variant).is_err() {
+        if schedule.validate(evaluator, variant).is_err() {
             let only_doomed_singletons = schedule
                 .classes()
                 .iter()
-                .all(|class| class.len() == 1 || evaluator.is_feasible(self.variant, class));
+                .all(|class| class.len() == 1 || evaluator.is_feasible(variant, class));
             if !only_doomed_singletons {
-                return self.require_valid(schedule, evaluator, label);
+                return self.require_valid(schedule, evaluator, variant, label);
             }
         }
         Ok(())
@@ -938,9 +703,10 @@ impl Scheduler {
         &self,
         schedule: &Schedule,
         evaluator: &Evaluator<'_, M>,
+        variant: Variant,
         label: &SolveLabel,
     ) -> Result<(), ScheduleError> {
-        match schedule.validate(evaluator, self.variant) {
+        match schedule.validate(evaluator, variant) {
             Ok(()) => Ok(()),
             Err(SinrError::InfeasibleColorClass { color, request }) => {
                 Err(ScheduleError::ValidationFailed {
@@ -951,6 +717,18 @@ impl Scheduler {
             }
             Err(other) => Err(ScheduleError::Sinr(other)),
         }
+    }
+}
+
+/// Colors `system` with first-fit: sequentially, or over the given tile
+/// shards with the parallel merge.
+fn color<S: GainBackend + Sync>(
+    system: &S,
+    parallel: Option<&(Vec<Vec<usize>>, ParallelConfig)>,
+) -> Schedule {
+    match parallel {
+        Some((shards, config)) => parallel_first_fit(system, shards, config),
+        None => first_fit_coloring(system),
     }
 }
 
@@ -967,9 +745,7 @@ mod tests {
 
     #[test]
     fn builder_accessors() {
-        let s = scheduler().variant(Variant::Directed);
-        assert_eq!(s.problem_variant(), Variant::Directed);
-        assert_eq!(s.params().alpha(), 3.0);
+        assert_eq!(scheduler().params().alpha(), 3.0);
     }
 
     #[test]
@@ -1112,17 +888,6 @@ mod tests {
                 }
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bidirectional variant")]
-    #[allow(deprecated)]
-    fn deprecated_lp_wrapper_still_panics_on_the_directed_variant() {
-        let inst = nested_chain(4, 2.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let _ = scheduler()
-            .variant(Variant::Directed)
-            .schedule_sqrt_lp(&inst, &mut rng);
     }
 
     #[test]

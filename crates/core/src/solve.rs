@@ -5,10 +5,9 @@
 //! [`ScheduleResult`](crate::scheduler::ScheduleResult) or a typed
 //! [`ScheduleError`] — never a panic on input conditions.
 //!
-//! This replaces the older per-algorithm `schedule_*` methods (now
-//! `#[deprecated]` thin wrappers): every scenario in the repository —
-//! experiments, benches, examples, and the `jobs` JSONL runner in
-//! `oblisched_bench` — is expressed as data through this module's types.
+//! Every scenario in the repository — experiments, benches, examples, and
+//! the `solve` verb of the `oblisched-server` JSONL wire protocol — is
+//! expressed as data through this module's types.
 //!
 //! # Example
 //!
@@ -24,7 +23,7 @@
 //! let result = scheduler.solve(&instance, &request)?;
 //! assert!(result.num_colors() <= 8);
 //!
-//! // Requests are serializable: the same run can come from a JSONL job file.
+//! // Requests are serializable: the same run can come from a JSONL wire line.
 //! let json = serde_json::to_string(&request).unwrap();
 //! let back: SolveRequest = serde_json::from_str(&json).unwrap();
 //! assert_eq!(back, request);
@@ -149,10 +148,9 @@ pub enum BackendPolicy {
     Exact,
 }
 
-/// A complete, serializable description of one scheduling run: the single
-/// entry point [`Scheduler::solve`](crate::scheduler::Scheduler::solve)
-/// consumes it and every legacy `schedule_*` method is now a thin wrapper
-/// that builds one.
+/// A complete, serializable description of one scheduling run, consumed by
+/// the single entry point
+/// [`Scheduler::solve`](crate::scheduler::Scheduler::solve).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolveRequest {
     /// The algorithm to run.
@@ -171,8 +169,8 @@ pub struct SolveRequest {
     /// Memory budget (bytes) for the cached dense matrix; `None` uses the
     /// scheduler's configured budget.
     pub matrix_budget: Option<usize>,
-    /// Sparse-backend construction knobs; `None` uses the scheduler's
-    /// configured [`SparseConfig`].
+    /// Sparse-backend construction knobs; `None` uses the default
+    /// [`SparseConfig`].
     pub sparse: Option<SparseConfig>,
 }
 
@@ -247,7 +245,7 @@ impl SolveRequest {
         self
     }
 
-    /// Overrides the scheduler's sparse-backend configuration for this run.
+    /// Overrides the default sparse-backend configuration for this run.
     pub fn with_sparse_config(mut self, config: SparseConfig) -> Self {
         self.sparse = Some(config);
         self
@@ -295,9 +293,8 @@ impl fmt::Display for Algorithm {
 /// The power-assignment half of a [`SolveLabel`].
 ///
 /// Unlike [`PowerAssignment`] (which only names the oblivious request-side
-/// schemes), this also covers the non-oblivious power-control baseline and
-/// arbitrary custom schemes, so every result the facade can produce has a
-/// faithful structured label.
+/// schemes), this also covers the non-oblivious power-control baseline, so
+/// every result the facade can produce has a faithful structured label.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Assignment {
     /// The uniform assignment.
@@ -313,23 +310,6 @@ pub enum Assignment {
     },
     /// Non-oblivious per-class power control.
     PowerControl,
-    /// A custom scheme, labelled by its `PowerScheme::name`
-    /// (see `oblisched_sinr::PowerScheme`).
-    Custom(String),
-}
-
-impl Assignment {
-    /// Structured assignment for a scheme name as reported by
-    /// `PowerScheme::name` — the named schemes map to their variants,
-    /// anything else becomes [`Assignment::Custom`].
-    pub fn from_scheme_name(name: &str) -> Assignment {
-        match name {
-            "uniform" => Assignment::Uniform,
-            "linear" => Assignment::Linear,
-            "sqrt" => Assignment::SquareRoot,
-            _ => Assignment::Custom(name.to_string()),
-        }
-    }
 }
 
 impl From<PowerAssignment> for Assignment {
@@ -351,7 +331,6 @@ impl fmt::Display for Assignment {
             Assignment::SquareRoot => write!(f, "sqrt"),
             Assignment::Exponent { tau } => write!(f, "loss^{tau}"),
             Assignment::PowerControl => write!(f, "power-control"),
-            Assignment::Custom(name) => write!(f, "{name}"),
         }
     }
 }
@@ -386,8 +365,7 @@ impl fmt::Display for SolveLabel {
     }
 }
 
-/// Typed failures of [`Scheduler::solve`](crate::scheduler::Scheduler::solve)
-/// — what used to be documented panics of the `schedule_*` methods.
+/// Typed failures of [`Scheduler::solve`](crate::scheduler::Scheduler::solve).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
     /// The SINR substrate rejected the run's inputs (invalid parameters,
@@ -490,25 +468,10 @@ mod tests {
                 SolveLabel::new(Algorithm::FirstFit, Assignment::Exponent { tau: 0.25 }),
                 "first-fit/loss^0.25",
             ),
-            (
-                SolveLabel::new(Algorithm::FirstFit, Assignment::Custom("cube".into())),
-                "first-fit/cube",
-            ),
         ];
         for (label, expected) in cases {
             assert_eq!(label.to_string(), expected);
         }
-    }
-
-    #[test]
-    fn scheme_names_map_back_to_structured_assignments() {
-        assert_eq!(Assignment::from_scheme_name("uniform"), Assignment::Uniform);
-        assert_eq!(Assignment::from_scheme_name("linear"), Assignment::Linear);
-        assert_eq!(Assignment::from_scheme_name("sqrt"), Assignment::SquareRoot);
-        assert_eq!(
-            Assignment::from_scheme_name("loss^0.75"),
-            Assignment::Custom("loss^0.75".into())
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! The [`family`] module names all of these behind one serializable
 //! [`Family`] enum with a `(family, n, seed)` constructor
-//! ([`build_family`]), so job files can select workloads as data.
+//! ([`build_family`]), so wire requests can select workloads as data.
 //!
 //! All generators are deterministic given a seeded RNG, and every instance
 //! they produce is a valid [`oblisched_sinr::Instance`].

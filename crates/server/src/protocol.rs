@@ -2,7 +2,7 @@
 //! TCP, one request object per line, one response object per line.
 //!
 //! Every request line is an object with exactly one top-level key naming the
-//! operation — the tagged-enum framing job files already use:
+//! operation — the externally tagged enum framing of serde:
 //!
 //! ```text
 //! {"ping":{}}
@@ -41,8 +41,8 @@ use oblisched_sinr::{SinrParams, Variant};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A batch solve over the wire: the same shape as the jobs runner's
-/// `JobSpec` — a family triple plus the [`SolveRequest`] to run on it.
+/// A batch solve over the wire: a family triple plus the [`SolveRequest`] to
+/// run on it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolveJob {
     /// The generator family of the instance.
@@ -530,8 +530,7 @@ pub enum WireResponse {
 pub struct Empty {}
 
 // Wrapper structs giving every wire line its single-key framing through the
-// ordinary derive path (the same trick the jobs runner uses for its
-// top-level `session` key).
+// ordinary derive path.
 #[derive(Serialize, Deserialize)]
 struct SolveLine {
     solve: SolveJob,

@@ -84,8 +84,8 @@ pub fn validate_name(name: &str) -> Result<(), WireError> {
     Ok(())
 }
 
-/// FNV-1a (64-bit) over a word stream — the same deterministic fingerprint
-/// construction the bench crate uses for schedules.
+/// FNV-1a (64-bit) over a word stream — the one fingerprint hash of the
+/// workspace: session states here, schedules in the bench crate's perf suite.
 pub fn fingerprint64(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for word in words {

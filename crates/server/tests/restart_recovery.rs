@@ -1,15 +1,16 @@
 //! Recovery-on-restart, end to end against the real daemon binary: open
 //! sessions, churn them, SIGKILL the daemon mid-churn (no close, no final
-//! checkpoint — crash-point style per the PR-6 durability tests), restart
-//! it over the same data directory, and assert every session's recovered
-//! coloring is bit-for-bit the pre-crash state and naive-certified.
+//! checkpoint — crash-point style, like the durability tests of the core
+//! crate), restart it over the same data directory, and assert every
+//! session's recovered coloring is bit-for-bit the pre-crash state and
+//! naive-certified.
 
 use oblisched::solve::PowerAssignment;
 use oblisched_instances::{churn_trace_for, ChurnEvent, Family};
 use oblisched_server::load::Client;
 use oblisched_server::protocol::{
-    IdRef, ItemRef, NameRef, OpenSpec, SessionVerb, StatsSpec, WireErrorKind, WireRequest,
-    WireResponse,
+    IdRef, ItemRef, NameRef, OpenSpec, SessionStats, SessionVerb, StatsSpec, WireErrorKind,
+    WireRequest, WireResponse,
 };
 use oblisched_server::{send_shutdown, LoadError};
 use oblisched_sinr::Variant;
@@ -69,20 +70,51 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn open_spec(name: &str, seed: u64) -> OpenSpec {
-    OpenSpec {
-        name: name.into(),
-        family: Family::Scaling,
-        n: 120,
-        seed,
-        assignment: PowerAssignment::SquareRoot,
-        variant: Variant::Bidirectional,
-        params: None,
-        config: None,
-        // A cadence far beyond the event count: recovery must come from
-        // the initial snapshot plus a pure WAL-tail replay.
-        checkpoint_every: Some(1_000),
-        backend: None,
+/// One session of a crash test: what it opens, the seed-pinned churn trace
+/// it replays (`churn_trace_for(n, target_live, num_events, seed)`) and the
+/// number of events applied before the daemon is killed.
+struct Case {
+    spec: OpenSpec,
+    target_live: usize,
+    num_events: usize,
+    crash_after: usize,
+}
+
+impl Case {
+    fn new(
+        name: &str,
+        (family, n, seed): (Family, usize, u64),
+        assignment: PowerAssignment,
+        variant: Variant,
+        checkpoint_every: usize,
+        [target_live, num_events, crash_after]: [usize; 3],
+    ) -> Case {
+        Case {
+            spec: OpenSpec {
+                name: name.into(),
+                family,
+                n,
+                seed,
+                assignment,
+                variant,
+                params: None,
+                config: None,
+                checkpoint_every: Some(checkpoint_every),
+                backend: None,
+            },
+            target_live,
+            num_events,
+            crash_after,
+        }
+    }
+
+    fn trace(&self) -> Vec<ChurnEvent> {
+        let spec = &self.spec;
+        churn_trace_for(spec.n, self.target_live, self.num_events, spec.seed).events
+    }
+
+    fn open(&self) -> WireRequest {
+        WireRequest::Session(SessionVerb::Open(self.spec.clone()))
     }
 }
 
@@ -118,46 +150,71 @@ fn churn(client: &mut Client, name: &str, events: &[ChurnEvent], ids: &mut BTree
     }
 }
 
-fn stats(client: &mut Client, name: &str, validate: bool) -> (String, usize, bool) {
+fn stats(client: &mut Client, name: &str, validate: bool) -> SessionStats {
     let request = WireRequest::Session(SessionVerb::Stats(StatsSpec {
         name: name.into(),
         validate: Some(validate),
     }));
     match client.request(&request).expect("stats") {
-        WireResponse::Stats(s) => (s.fingerprint, s.live, s.validated),
+        WireResponse::Stats(stats) => stats,
         other => panic!("stats answered {other:?}"),
     }
 }
 
 #[test]
 fn killed_daemon_recovers_every_session_bit_for_bit() {
+    use Family::{Clustered, Line, Scaling};
+    use PowerAssignment::{Linear, SquareRoot, Uniform};
+    use Variant::{Bidirectional, Directed};
     let dir = temp_dir("recovery");
-    let sessions: Vec<(String, u64)> = (0..3)
-        .map(|i| (format!("crash-{i}"), 7 + i as u64))
-        .collect();
-    const CRASH_AFTER: usize = 70;
-    const NUM_EVENTS: usize = 120;
+    // Columns: name, (family, n, seed), assignment, variant, snapshot
+    // cadence, [target_live, num_events, crash_after].
+    #[rustfmt::skip]
+    let cases = [
+        // A cadence far beyond the event count: recovery must come from
+        // the initial snapshot plus a pure WAL-tail replay.
+        Case::new("crash-0", (Scaling, 120, 7), SquareRoot, Bidirectional, 1_000, [40, 120, 70]),
+        Case::new("crash-1", (Scaling, 120, 8), SquareRoot, Bidirectional, 1_000, [40, 120, 70]),
+        Case::new("crash-2", (Scaling, 120, 9), SquareRoot, Bidirectional, 1_000, [40, 120, 70]),
+        // A snapshot every 8 events: a mid-trace snapshot plus a short tail.
+        Case::new("smoke-scaling-sqrt", (Scaling, 30, 42), SquareRoot, Bidirectional, 8, [18, 80, 41]),
+        // The directed variant, with a snapshot after every event.
+        Case::new("smoke-clustered-uniform", (Clustered, 24, 7), Uniform, Directed, 1, [14, 60, 30]),
+        // The line metric, killed one event before the end of its trace.
+        Case::new("smoke-line-linear", (Line, 20, 3), Linear, Bidirectional, 64, [12, 50, 49]),
+    ];
+    // Final (live, colors, next WAL sequence) of the three smoke sessions:
+    // a change here is a behaviour change of the dynamic scheduler.
+    let pinned_ends = [
+        ("smoke-scaling-sqrt", (16, 3, 86)),
+        ("smoke-clustered-uniform", (12, 2, 66)),
+        ("smoke-line-linear", (10, 1, 50)),
+    ];
 
-    // Phase 1: fresh daemon, open the sessions, churn each one to the
+    // Phase 1: fresh daemon, open the sessions, churn each one to its
     // crash point, record its exact state fingerprint. No close, no
     // explicit checkpoint — the WAL tail is all that protects the state.
     let mut daemon = Daemon::start(&dir);
-    let mut pre_crash: BTreeMap<String, (String, usize)> = BTreeMap::new();
+    let mut pre_crash: BTreeMap<String, SessionStats> = BTreeMap::new();
     let mut live_ids: BTreeMap<String, BTreeMap<usize, u64>> = BTreeMap::new();
     {
         let mut client = Client::connect(&daemon.addr).expect("connect");
-        for (name, seed) in &sessions {
-            let open = WireRequest::Session(SessionVerb::Open(open_spec(name, *seed)));
-            match client.request(&open).expect("open") {
+        for case in &cases {
+            let name = &case.spec.name;
+            match client.request(&case.open()).expect("open") {
                 WireResponse::Opened(info) => assert!(!info.recovered, "fresh session"),
                 other => panic!("open answered {other:?}"),
             }
-            let trace = churn_trace_for(120, 40, NUM_EVENTS, *seed);
             let mut ids = BTreeMap::new();
-            churn(&mut client, name, &trace.events[..CRASH_AFTER], &mut ids);
-            let (fingerprint, live, _) = stats(&mut client, name, false);
-            assert!(live > 0, "the crash point leaves live requests");
-            pre_crash.insert(name.clone(), (fingerprint, live));
+            churn(
+                &mut client,
+                name,
+                &case.trace()[..case.crash_after],
+                &mut ids,
+            );
+            let before = stats(&mut client, name, false);
+            assert!(before.live > 0, "the crash point leaves live requests");
+            pre_crash.insert(name.clone(), before);
             live_ids.insert(name.clone(), ids);
         }
     }
@@ -168,38 +225,54 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
     // pre-crash state and must certify against the naive evaluator.
     let daemon = Daemon::start(&dir);
     let mut client = Client::connect(&daemon.addr).expect("reconnect");
-    for (name, seed) in &sessions {
-        let open = WireRequest::Session(SessionVerb::Open(open_spec(name, *seed)));
-        match client.request(&open).expect("re-open") {
+    for case in &cases {
+        let name = &case.spec.name;
+        match client.request(&case.open()).expect("re-open") {
             WireResponse::Opened(info) => {
                 assert!(info.recovered, "{name} must attach to recovered state");
             }
             other => panic!("re-open answered {other:?}"),
         }
-        let (fingerprint, live, validated) = stats(&mut client, name, true);
-        let (expected_fingerprint, expected_live) = &pre_crash[name];
+        let after = stats(&mut client, name, true);
+        let before = &pre_crash[name];
         assert_eq!(
-            &fingerprint, expected_fingerprint,
+            after.fingerprint, before.fingerprint,
             "{name}: recovered coloring differs from the pre-crash state"
         );
-        assert_eq!(&live, expected_live, "{name}: live count diverged");
-        assert!(validated, "{name}: naive certification must have run");
+        assert_eq!(after.live, before.live, "{name}: live count diverged");
+        assert_eq!(
+            after.next_seq, before.next_seq,
+            "{name}: WAL position diverged"
+        );
+        assert!(after.validated, "{name}: naive certification must have run");
     }
 
     // The recovered sessions keep working: finish each trace and certify
     // the final state too.
-    for (name, seed) in &sessions {
-        let trace = churn_trace_for(120, 40, NUM_EVENTS, *seed);
+    for case in &cases {
+        let name = &case.spec.name;
         let mut ids = live_ids.remove(name).expect("pre-crash id map");
-        churn(&mut client, name, &trace.events[CRASH_AFTER..], &mut ids);
-        let (_, live, validated) = stats(&mut client, name, true);
-        assert_eq!(live, ids.len(), "{name}: live set tracks the id map");
-        assert!(validated);
+        churn(
+            &mut client,
+            name,
+            &case.trace()[case.crash_after..],
+            &mut ids,
+        );
+        let end = stats(&mut client, name, true);
+        assert_eq!(end.live, ids.len(), "{name}: live set tracks the id map");
+        assert!(end.validated);
+        if let Some((_, pinned)) = pinned_ends.iter().find(|(pinned, _)| pinned == name) {
+            assert_eq!(
+                (end.live, end.colors, end.next_seq),
+                *pinned,
+                "{name}: final state"
+            );
+        }
     }
 
     // Satellite check: an open with a different DynamicConfig against the
     // recovered session is a *typed* config_mismatch carrying both configs.
-    let mut wrong = open_spec(&sessions[0].0, sessions[0].1);
+    let mut wrong = cases[0].spec.clone();
     wrong.config = Some(oblisched::dynamic::DynamicConfig {
         recolor_budget: 1,
         ..oblisched::dynamic::DynamicConfig::default()
@@ -219,7 +292,7 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
 
     // Graceful shutdown still exits cleanly after all of that.
     let close = WireRequest::Session(SessionVerb::Close(NameRef {
-        name: sessions[0].0.clone(),
+        name: cases[0].spec.name.clone(),
     }));
     client.request(&close).expect("close");
     send_shutdown(&daemon.addr).expect("shutdown");
@@ -244,47 +317,50 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
 #[test]
 #[cfg(not(debug_assertions))]
 fn killed_daemon_recovers_a_sparse_session_bit_for_bit() {
-    const N: usize = 2500;
-    const NUM_EVENTS: usize = 1500;
-    const CHECKPOINT_EVERY: usize = 1000;
     let dir = temp_dir("sparse");
-    let spec = OpenSpec {
-        n: N,
-        checkpoint_every: Some(CHECKPOINT_EVERY),
-        ..open_spec("sparse-crash", 11)
-    };
-    let trace = churn_trace_for(N, 600, NUM_EVENTS, 11);
+    let case = Case::new(
+        "sparse-crash",
+        (Family::Scaling, 2500, 11),
+        PowerAssignment::SquareRoot,
+        Variant::Bidirectional,
+        1_000,
+        [600, 1500, 1500],
+    );
+    let name = &case.spec.name;
 
     let mut daemon = Daemon::start(&dir);
-    let (expected_fingerprint, expected_live) = {
+    let before = {
         let mut client = Client::connect(&daemon.addr).expect("connect");
-        let open = WireRequest::Session(SessionVerb::Open(spec.clone()));
-        match client.request(&open).expect("open") {
+        match client.request(&case.open()).expect("open") {
             WireResponse::Opened(info) => assert!(!info.recovered, "fresh session"),
             other => panic!("open answered {other:?}"),
         }
         let mut ids = BTreeMap::new();
-        churn(&mut client, &spec.name, &trace.events, &mut ids);
-        let (fingerprint, live, _) = stats(&mut client, &spec.name, false);
-        assert_eq!(live, ids.len());
-        (fingerprint, live)
+        churn(
+            &mut client,
+            name,
+            &case.trace()[..case.crash_after],
+            &mut ids,
+        );
+        let before = stats(&mut client, name, false);
+        assert_eq!(before.live, ids.len());
+        before
     };
     daemon.kill();
 
     let daemon = Daemon::start(&dir);
     let mut client = Client::connect(&daemon.addr).expect("reconnect");
-    let open = WireRequest::Session(SessionVerb::Open(spec.clone()));
-    match client.request(&open).expect("re-open") {
+    match client.request(&case.open()).expect("re-open") {
         WireResponse::Opened(info) => assert!(info.recovered, "must attach to recovered state"),
         other => panic!("re-open answered {other:?}"),
     }
-    let (fingerprint, live, validated) = stats(&mut client, &spec.name, true);
+    let after = stats(&mut client, name, true);
     assert_eq!(
-        fingerprint, expected_fingerprint,
+        after.fingerprint, before.fingerprint,
         "recovered sparse coloring differs from the pre-crash state"
     );
-    assert_eq!(live, expected_live, "live count diverged");
-    assert!(validated, "naive certification must have run");
+    assert_eq!(after.live, before.live, "live count diverged");
+    assert!(after.validated, "naive certification must have run");
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -150,8 +150,8 @@ impl FastLoss {
 
 /// Construction knobs of the [`SparseGainMatrix`].
 ///
-/// Serializable so job files (`SolveRequest` in `oblisched`) can pin a
-/// sparse profile as data.
+/// Serializable so a `SolveRequest` (in `oblisched`) can pin a sparse
+/// profile as data.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SparseConfig {
     /// Per-row cutoff as a fraction of the row's interference budget

@@ -60,9 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Requests serialize — the same runs, as a JSONL-ready value. The
-    // `jobs` binary in `oblisched_bench` consumes whole files of these.
+    // daemon's `solve` verb (`oblisched-server`) takes them over the wire.
     let as_json = serde_json::to_string(&requests[2])?;
-    println!("\nthe square-root run as a job line:\n  {as_json}");
+    println!("\nthe square-root run as a wire request:\n  {as_json}");
 
     // Show one schedule in detail.
     let result = scheduler.solve(

@@ -1,15 +1,15 @@
 //! Serde acceptance tests of the job API: a `SolveRequest` survives a JSON
 //! serialize→deserialize round trip unchanged for every strategy ×
-//! assignment combination, and the `jobs` runner's `JobSpec`/`JobReport`
-//! lines do too.
+//! assignment combination, and the wire protocol's `SolveJob`/`SolveOutcome`
+//! payloads — the one JSONL dialect of a solve — do too.
 
 use oblisched::scheduler::{EngineBackend, EngineStats};
 use oblisched::solve::{
     Algorithm, Assignment, BackendPolicy, PowerAssignment, SolveRequest, SolveStrategy,
 };
-use oblisched_bench::jobs::{JobReport, JobSpec};
 use oblisched_instances::Family;
 use oblisched_sinr::{SinrParams, SparseConfig, Variant};
+use oblisched_suite::server::protocol::{SolveJob, SolveOutcome};
 
 fn strategies() -> [SolveStrategy; 6] {
     [
@@ -67,7 +67,7 @@ fn optional_request_fields_round_trip_as_null_and_may_be_absent() {
     let back: SolveRequest = serde_json::from_str(&json).unwrap();
     assert_eq!(back, request);
 
-    // Hand-written job lines may omit the optional fields entirely.
+    // Hand-written request lines may omit the optional fields entirely.
     let terse = r#"{"strategy":"FirstFit","assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto"}"#;
     let back: SolveRequest = serde_json::from_str(terse).unwrap();
     assert_eq!(back, request);
@@ -83,23 +83,33 @@ fn job_specs_round_trip_for_every_family() {
                 Some(SinrParams::with_noise(2.5, 1.5, 0.1).unwrap()),
             ),
         ] {
-            let spec = JobSpec {
+            let job = SolveJob {
                 family,
                 n: 33,
                 seed: 9,
                 request,
                 params,
             };
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: JobSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, spec);
+            let json = serde_json::to_string(&job).unwrap();
+            let back: SolveJob = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, job);
         }
     }
+
+    // `params` (like the request's `matrix_budget` and `sparse`) may be
+    // absent from a hand-written line.
+    let terse = r#"{"family":"line","n":10,"seed":0,"request":{"strategy":{"Parallel":{"num_threads":2}},"assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto"}}"#;
+    let job: SolveJob = serde_json::from_str(terse).unwrap();
+    assert_eq!(job.params, None);
+    assert_eq!(
+        job.request,
+        SolveRequest::parallel(PowerAssignment::SquareRoot, 2)
+    );
 }
 
 #[test]
 fn job_reports_round_trip() {
-    let report = JobReport {
+    let outcome = SolveOutcome {
         family: Family::Scaling,
         n: 100,
         seed: 42,
@@ -118,16 +128,17 @@ fn job_reports_round_trip() {
             budget: 1 << 16,
         },
     };
-    let json = serde_json::to_string(&report).unwrap();
-    let back: JobReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, report);
+    let json = serde_json::to_string(&outcome).unwrap();
+    let back: SolveOutcome = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, outcome);
 
-    // The custom-assignment label also survives (newtype variant payload).
-    let custom = JobReport {
-        assignment: Assignment::Custom("cube".into()),
-        ..report
+    // The unit-variant labels survive too (power control, no payload).
+    let power_control = SolveOutcome {
+        algorithm: Algorithm::FirstFit,
+        assignment: Assignment::PowerControl,
+        ..outcome
     };
-    let json = serde_json::to_string(&custom).unwrap();
-    let back: JobReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, custom);
+    let json = serde_json::to_string(&power_control).unwrap();
+    let back: SolveOutcome = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, power_control);
 }

@@ -127,8 +127,8 @@ fn facade_auto_selects_backend_by_budget_and_reports_it() {
     assert!(tight.num_colors() <= 3 * roomy.num_colors().max(1));
 }
 
-/// `schedule_parallel` through the facade: deterministic across thread
-/// counts on both sides of the budget boundary.
+/// Parallel solves through the facade: deterministic across thread counts
+/// on both sides of the budget boundary.
 #[test]
 fn facade_parallel_scheduling_is_deterministic_and_validated() {
     let p = params();
