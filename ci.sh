@@ -114,36 +114,14 @@ rm -f "$load_out"
 wait "$server_pid"
 rm -rf "$server_dir" "$server_log"
 
-echo "==> scaling bench (smoke mode)"
-# Runs the engine-vs-naive speedup check end to end on small sizes so a
-# regression in the hot path (or a divergence between the engine and the
-# naive evaluator) fails the pipeline without the multi-minute full bench.
-SCALING_SMOKE=1 cargo bench -p oblisched_bench --bench scaling
-
-echo "==> churn bench (smoke mode)"
-# Same idea for the dynamic scheduler: replays the incremental-vs-full
-# reschedule comparison end to end on small traces.
-CHURN_SMOKE=1 cargo bench -p oblisched_bench --bench churn
-
-echo "==> sparse bench (smoke mode)"
-# Exercises the tiered-backend paths (dense vs sparse vs parallel-sparse) on
-# small sizes: the conservativeness and thread-count-determinism asserts run
-# in smoke mode too, so a regression fails the pipeline without the
-# full-size measurements.
-SPARSE_SMOKE=1 cargo bench -p oblisched_bench --bench sparse
-
 echo "==> experiment E10 (churn: incremental vs full reschedule)"
-# E10 validates the final dynamic state against the naive evaluator and
-# reports the wall-time comparison; running it here keeps the experiment
-# harness (and the speedup claim it documents) green. Its large-tier rows
-# replay the 10k/50k churn families on the sparse session backend and
-# assert the 64 MiB engine-budget bound.
+# E10 asserts its acceptance bounds (>= 3x on the uniform-1500 row, about
+# 9 s; 64 MiB engine budget on the large tier); its table notes state them.
 cargo run -q -p oblisched_bench --bin experiments --release -- --exp e10
 
 echo "==> experiment E11 (backend tiers: dense vs sparse vs parallel-sparse)"
-# E11 asserts zero non-conservative sparse verdicts against the naive
-# evaluator and thread-count determinism of the parallel scheduler, and
-# reports the tier wall times side by side.
+# E11 asserts its tier bounds (parallel beats dense, >= 2x over serial
+# sparse), conservativeness and determinism; its table notes state them.
 cargo run -q -p oblisched_bench --bin experiments --release -- --exp e11
 
 echo "==> benchmark harness tests (release)"

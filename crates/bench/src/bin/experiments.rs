@@ -13,6 +13,8 @@
 use oblisched_bench::{all_experiments, run_experiment, Experiment, Table};
 use std::time::Instant;
 
+const USAGE: &str = "usage: experiments [--exp e1..e11]... [--json FILE]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut selected: Vec<Experiment> = Vec::new();
@@ -33,10 +35,16 @@ fn main() {
             }
             "--json" => {
                 i += 1;
-                json_path = args.get(i).cloned();
+                match args.get(i) {
+                    Some(path) => json_path = Some(path.clone()),
+                    None => {
+                        eprintln!("--json needs a FILE\n{USAGE}");
+                        std::process::exit(2);
+                    }
+                }
             }
             "--help" | "-h" => {
-                println!("usage: experiments [--exp e1..e11]... [--json FILE]");
+                println!("{USAGE}");
                 return;
             }
             other => {

@@ -1,7 +1,7 @@
 //! Shared replay loops of the churn workloads — the single definition of
 //! "run a trace incrementally" and "run a trace with full reschedules" used
-//! by experiment E10, the `churn` criterion bench, and the harness tests, so
-//! they all measure exactly the same event loop.
+//! by experiment E10, the perf suite and the integration tests, so they all
+//! measure exactly the same event loop.
 
 use oblisched::durability::{DurabilityError, DurableScheduler, SessionStore};
 use oblisched::dynamic::{DynamicConfig, DynamicScheduler};
@@ -34,7 +34,7 @@ pub fn replay_incremental<'s, S: GainBackend + ?Sized>(
 /// [`replay_incremental`] with a hook called after every applied event
 /// (receiving the scheduler state and the 0-based event index) — the loop
 /// the per-event-validating acceptance test runs is thereby exactly the loop
-/// E10 and the `churn` bench time.
+/// E10 times.
 ///
 /// # Panics
 ///
@@ -92,35 +92,9 @@ where
     S: GainBackend + ?Sized,
     St: SessionStore,
 {
-    replay_durable_with(system, trace, config, checkpoint_every, store, |_, _| {})
-}
-
-/// [`replay_durable`] with a hook called after every applied event, mirroring
-/// [`replay_incremental_with`].
-///
-/// # Errors
-///
-/// Same contract as [`replay_durable`].
-///
-/// # Panics
-///
-/// Same contract as [`replay_durable`].
-pub fn replay_durable_with<'s, S, St, F>(
-    system: &'s S,
-    trace: &ChurnTrace,
-    config: DynamicConfig,
-    checkpoint_every: usize,
-    store: St,
-    mut on_event: F,
-) -> Result<DurableScheduler<'s, S, St>, DurabilityError>
-where
-    S: GainBackend + ?Sized,
-    St: SessionStore,
-    F: FnMut(&DurableScheduler<'s, S, St>, usize),
-{
     let mut session = DurableScheduler::create(system, config, checkpoint_every, store)?;
     let mut ids = vec![None; trace.universe];
-    for (index, event) in trace.events.iter().enumerate() {
+    for event in &trace.events {
         match *event {
             ChurnEvent::Arrive(i) => {
                 ids[i] = Some(session.insert(i)?);
@@ -130,7 +104,6 @@ where
                 session.remove(id)?;
             }
         }
-        on_event(&session, index);
     }
     Ok(session)
 }
@@ -273,20 +246,9 @@ mod tests {
         let eval = instance.evaluator(params, &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
         let config = DynamicConfig::default();
-        let mut checked = 0usize;
-        let session = replay_durable_with(
-            &view,
-            &trace,
-            config,
-            7,
-            MemoryStore::new(),
-            |session, index| {
-                assert!(session.next_seq() > index as u64);
-                checked += 1;
-            },
-        )
-        .unwrap();
-        assert_eq!(checked, trace.len());
+        let session = replay_durable(&view, &trace, config, 7, MemoryStore::new()).unwrap();
+        // Every event logs at least one WAL record.
+        assert!(session.next_seq() >= trace.len() as u64);
         let expected = replay_incremental(&view, &trace).export_state();
         assert_eq!(session.scheduler().export_state(), expected);
         assert!(session.snapshots_written() > (trace.len() / 7) as u64);

@@ -4,6 +4,7 @@
 //! comparison (dense vs sparse vs parallel-sparse).
 
 use crate::table::Table;
+use crate::tiers::TIER_SEED;
 use oblisched::scheduler::{ScheduleResult, Scheduler};
 use oblisched::solve::{BackendPolicy, SolveRequest};
 use oblisched::{
@@ -49,16 +50,17 @@ pub enum Experiment {
     /// energy/colors trade-off of oblivious assignments.
     E8,
     /// Scaling: first-fit wall time and colors, incremental engine vs the
-    /// naive evaluator, across growing n (identical colorings asserted).
+    /// naive evaluator, across growing n (identical colorings asserted, and
+    /// a >=10x speedup at uniform n=5000).
     E9,
     /// Churn: the dynamic scheduler's incremental maintenance vs a full
     /// reschedule per event, across power assignments (colors, per-event
-    /// latency, total wall time).
+    /// latency, total wall time; a >=3x speedup asserted at n=1500).
     E10,
     /// Backend tiers: dense `GainMatrix` at its budget ceiling (n=2000) vs
-    /// the spatially-pruned sparse backend and tile-sharded parallel
-    /// scheduling at n=10000, with conservativeness validated against the
-    /// naive evaluator.
+    /// the spatially-pruned sparse backend and the facade's parallel tier
+    /// at n=10000, with conservativeness validated against the naive
+    /// evaluator and the tier wall-time bounds asserted.
     E11,
 }
 
@@ -143,6 +145,61 @@ fn random_instance(seed: u64, n: usize) -> Instance<EuclideanSpace<2>> {
         },
         &mut rng,
     )
+}
+
+/// E9's acceptance bound: at uniform `n = 5000` the incremental engine is
+/// at least this many times faster than the naive evaluator.
+pub const ENGINE_MIN_SPEEDUP: f64 = 10.0;
+
+/// E10's acceptance bound: on the `n = 1500` churn trace incremental
+/// maintenance is at least this many times faster than a full reschedule
+/// per event.
+pub const CHURN_MIN_SPEEDUP: f64 = 3.0;
+
+/// E11's acceptance bound: each parallel-sparse run is at least this many
+/// times faster than serial first-fit on the same backend.
+pub const PARALLEL_MIN_SPEEDUP: f64 = 2.0;
+
+/// `Ok` when `fast_ms` is at least `factor` times faster than `slow_ms`; a
+/// NaN timing fails. E9 and E10 hold their acceptance bounds through it.
+pub fn speedup_bound(what: &str, slow_ms: f64, fast_ms: f64, factor: f64) -> Result<(), String> {
+    if slow_ms >= factor * fast_ms {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what}: {:.2}x ({slow_ms:.1} ms vs {fast_ms:.1} ms), need >= {factor}x",
+            slow_ms / fast_ms
+        ))
+    }
+}
+
+/// How many interleaved rounds E11 times each tier; every row reports its
+/// best round.
+pub const E11_ROUNDS: usize = 7;
+
+/// E11's acceptance bounds over wall times: `dense_ms` is the dense tier at
+/// its `n = 2000` ceiling, `serial_ms` serial first-fit on the parallel
+/// tier's backend, and `par_ms` the 1- and 8-thread parallel runs at
+/// `n = 10⁴`. The best parallel run must beat the dense run, and each
+/// parallel run must be [`PARALLEL_MIN_SPEEDUP`]× faster than serial.
+pub fn tier_bounds(dense_ms: f64, serial_ms: f64, par_ms: [f64; 2]) -> Result<(), String> {
+    let best = par_ms[0].min(par_ms[1]);
+    // Written so that a NaN timing fails the bound.
+    let beats_dense = best < dense_ms;
+    if !beats_dense {
+        return Err(format!(
+            "best parallel-sparse run ({best:.1} ms) must beat dense n=2000 ({dense_ms:.1} ms)"
+        ));
+    }
+    for (threads, ms) in [(1, par_ms[0]), (8, par_ms[1])] {
+        speedup_bound(
+            &format!("parallel-sparse ({threads}t) vs serial sparse on the same backend"),
+            serial_ms,
+            ms,
+            PARALLEL_MIN_SPEEDUP,
+        )?;
+    }
+    Ok(())
 }
 
 /// E1 — Theorem 1: Ω(n) vs O(1) on adversarial directed instances.
@@ -547,17 +604,19 @@ pub fn e8_directed_simulation_and_energy() -> Table {
 /// E9 — scaling: the incremental interference engine vs the naive evaluator.
 ///
 /// Runs first-fit on the seed-pinned scaling families across growing `n`,
-/// recording colors and wall time for both paths (the naive path is skipped
-/// beyond `n = 1000`, where it takes minutes). Where both run, the colorings
-/// are asserted identical — the engine's exact-equivalence guarantee,
-/// measured rather than assumed. The full `n = 5000` acceptance measurement
-/// lives in the `scaling` criterion bench.
+/// recording colors and wall time for both paths. Where both run, the
+/// colorings are asserted identical — the engine's exact-equivalence
+/// guarantee, measured rather than assumed. The naive path runs up to
+/// `n = 1000` and once more at the uniform `n = 5000` acceptance size, where
+/// it takes minutes and the engine must be [`ENGINE_MIN_SPEEDUP`]× faster.
 pub fn e9_scaling_engine() -> Table {
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
     use oblisched_sinr::GainMatrix;
 
     /// Naive first-fit is cubic-ish in practice; skip it above this size.
     const NAIVE_LIMIT: usize = 1000;
+    /// The uniform size the speedup bound is asserted at.
+    const ACCEPTANCE_N: usize = 5000;
     let p = params();
     let mut table = Table::new(
         "E9",
@@ -614,9 +673,16 @@ pub fn e9_scaling_engine() -> Table {
         let eval = instance.evaluator(p, &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
         let (engine, engine_ms) = time_first_fit(&|| first_fit_coloring(&view));
-        let naive = (n <= NAIVE_LIMIT)
+        let naive = (n <= NAIVE_LIMIT || n == ACCEPTANCE_N)
             .then(|| time_first_fit(&|| oblisched::first_fit_coloring_naive(&view)));
+        let naive_ms = naive.as_ref().map(|(_, ms)| *ms);
         run_row("uniform", (n, engine, engine_ms, naive));
+        if let (ACCEPTANCE_N, Some(naive_ms)) = (n, naive_ms) {
+            let bound = speedup_bound("engine vs naive", naive_ms, engine_ms, ENGINE_MIN_SPEEDUP);
+            if let Err(e) = bound {
+                panic!("E9 acceptance at uniform n={n}: {e}");
+            }
+        }
     }
     for &n in &[200usize, 500, 2000] {
         let instance = oblisched_instances::scaling_line(n);
@@ -634,7 +700,7 @@ pub fn e9_scaling_engine() -> Table {
         "where both paths run the colorings are asserted identical (exact-equivalence guarantee)",
     );
     table.push_note(
-        "the n=5000 >=10x acceptance measurement is the `scaling` criterion bench's speedup-check",
+        "acceptance (asserted): at uniform n=5000 the engine is >=10x faster than naive with identical colorings",
     );
     table
 }
@@ -646,7 +712,9 @@ pub fn e9_scaling_engine() -> Table {
 /// gain matrix) and through a full first-fit reschedule of the live set
 /// after every event, for each oblivious power assignment. The final dynamic
 /// state is certified against the naive evaluator (`validate_against`), so
-/// the speedup column compares two *valid* maintenance strategies.
+/// the speedup column compares two *valid* maintenance strategies. The
+/// `uniform-1500` row is the acceptance measurement: incremental
+/// maintenance must be [`CHURN_MIN_SPEEDUP`]× faster there.
 ///
 /// The large-tier rows (`10k`/`50k` universes) are beyond the dense matrix
 /// budget: they replay on the facade-selected churn-capable sparse backend
@@ -654,12 +722,10 @@ pub fn e9_scaling_engine() -> Table {
 /// full churn session at `n = 5·10⁴` completes under the 64 MiB engine
 /// budget.
 pub fn e10_dynamic_churn() -> Table {
-    use crate::churn::{replay_full_reschedule, replay_incremental, sparse_churn_outcome};
-    use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
+    use crate::churn::sparse_churn_outcome;
     use oblisched_instances::{
         churn_clustered, churn_clustered_10k, churn_uniform, churn_uniform_10k, churn_uniform_50k,
     };
-    use oblisched_sinr::GainMatrix;
 
     let p = params();
     let mut table = Table::new(
@@ -684,53 +750,21 @@ pub fn e10_dynamic_churn() -> Table {
     ];
     for (family, (instance, trace)) in &workloads {
         for power in ObliviousPower::standard_assignments() {
-            let eval = instance.evaluator(p, &power);
-            let view = eval.view(Variant::Bidirectional);
-            let matrix = view.cached();
-
-            // Incremental maintenance: one insert/remove per event.
-            let start = std::time::Instant::now();
-            let sched = replay_incremental(&matrix, trace);
-            let dyn_time = start.elapsed();
-            sched
-                .validate_against(&view)
-                .expect("the final churn state must certify against the naive evaluator");
-            sched
-                .validate()
-                .expect("accumulated sums must stay within drift tolerance");
-
-            // Baseline: full first-fit reschedule of the live set per event.
-            let start = std::time::Instant::now();
-            let full_colors = replay_full_reschedule(&matrix, trace);
-            let full_time = start.elapsed();
-
-            let dyn_ms = dyn_time.as_secs_f64() * 1e3;
-            let full_ms = full_time.as_secs_f64() * 1e3;
-            table.push_row(vec![
-                family.to_string(),
-                power.name(),
-                trace.len().to_string(),
-                sched.len().to_string(),
-                sched.num_colors().to_string(),
-                full_colors.to_string(),
-                format!("{dyn_ms:.1}"),
-                format!("{:.1}", dyn_ms * 1e3 / trace.len() as f64),
-                format!("{full_ms:.1}"),
-                format!("{:.1}x", full_ms / dyn_ms.max(1e-9)),
-            ]);
-            // Both strategies of this row replay on the cached dense matrix.
-            table.push_engine(
-                format!("{family}/{}", power.name()),
-                EngineStats {
-                    backend: EngineBackend::Dense,
-                    n: instance.len(),
-                    ports: 2,
-                    bytes: GainMatrix::bytes_for(instance.len(), 2),
-                    dense_bytes: GainMatrix::bytes_for(instance.len(), 2),
-                    budget: DEFAULT_MATRIX_BUDGET,
-                },
-            );
+            dense_churn_row(&mut table, family, instance, trace, &power);
         }
+    }
+    // Acceptance row: a larger trace (~1000 live, 2000 events) where the
+    // per-event full reschedule is the slow side by a wide margin.
+    let (instance, trace) = churn_uniform(1500, 1000, 2000, 42);
+    let (dyn_ms, full_ms) = dense_churn_row(
+        &mut table,
+        "uniform-1500",
+        &instance,
+        &trace,
+        &ObliviousPower::SquareRoot,
+    );
+    if let Err(e) = speedup_bound("incremental vs full", full_ms, dyn_ms, CHURN_MIN_SPEEDUP) {
+        panic!("E10 acceptance on uniform-1500: {e}");
     }
     // Large-tier rows: the dense matrix would need 1.6 GB (n = 10⁴) /
     // 40 GB (n = 5·10⁴), so `Scheduler::session_backend` routes these to
@@ -760,36 +794,103 @@ pub fn e10_dynamic_churn() -> Table {
             "-".to_string(),
         ]);
     }
-    table.push_note("seed-pinned workloads (seed 42): universe 400, target 260 live, 800 events, cached gain matrix for both strategies");
+    table.push_note("seed-pinned workloads (seed 42): universe 400, target 260 live, 800 events (uniform-1500: universe 1500, target 1000 live, 2000 events), cached gain matrix for both strategies");
     table.push_note("the final dynamic state is validated against the naive evaluator before timing is reported");
     table.push_note("expectation: incremental maintenance beats the full-reschedule baseline on total wall time at similar color counts");
+    table.push_note("acceptance (asserted): on uniform-1500 (universe 1500, target 1000 live, 2000 events, sqrt) incremental maintenance is >=3x faster than full reschedules");
     table.push_note("large-tier rows (10k/50k universes, live target n/4 capped at 8000) replay on the facade-selected sparse churn backend; '-' marks the skipped full-reschedule baseline, and the grown backend is asserted under the 64 MiB budget");
     table
+}
+
+/// One dense-tier E10 row: replays `trace` incrementally and with a full
+/// reschedule per event on the cached gain matrix under `power`, certifies
+/// the final dynamic state against the naive evaluator, and returns the two
+/// wall times `(dyn_ms, full_ms)`.
+fn dense_churn_row(
+    table: &mut Table,
+    family: &str,
+    instance: &Instance<EuclideanSpace<2>>,
+    trace: &oblisched_instances::ChurnTrace,
+    power: &ObliviousPower,
+) -> (f64, f64) {
+    use crate::churn::{replay_full_reschedule, replay_incremental};
+    use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
+    use oblisched_sinr::GainMatrix;
+
+    let eval = instance.evaluator(params(), power);
+    let view = eval.view(Variant::Bidirectional);
+    let matrix = view.cached();
+
+    // Incremental maintenance: one insert/remove per event.
+    let start = std::time::Instant::now();
+    let sched = replay_incremental(&matrix, trace);
+    let dyn_ms = start.elapsed().as_secs_f64() * 1e3;
+    sched
+        .validate_against(&view)
+        .expect("the final churn state must certify against the naive evaluator");
+    sched
+        .validate()
+        .expect("accumulated sums must stay within drift tolerance");
+
+    // Baseline: full first-fit reschedule of the live set per event.
+    let start = std::time::Instant::now();
+    let full_colors = replay_full_reschedule(&matrix, trace);
+    let full_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    table.push_row(vec![
+        family.to_string(),
+        power.name(),
+        trace.len().to_string(),
+        sched.len().to_string(),
+        sched.num_colors().to_string(),
+        full_colors.to_string(),
+        format!("{dyn_ms:.1}"),
+        format!("{:.1}", dyn_ms * 1e3 / trace.len() as f64),
+        format!("{full_ms:.1}"),
+        format!("{:.1}x", full_ms / dyn_ms.max(1e-9)),
+    ]);
+    // Both strategies of this row replay on the cached dense matrix.
+    let bytes = GainMatrix::bytes_for(instance.len(), 2);
+    table.push_engine(
+        format!("{family}/{}", power.name()),
+        EngineStats {
+            backend: EngineBackend::Dense,
+            n: instance.len(),
+            ports: 2,
+            bytes,
+            dense_bytes: bytes,
+            budget: DEFAULT_MATRIX_BUDGET,
+        },
+    );
+    (dyn_ms, full_ms)
 }
 
 /// E11 — backend tiers: dense vs sparse vs parallel-sparse.
 ///
 /// The dense `GainMatrix` tops out at its 64 MiB budget around `n ≈ 2000`
 /// (bidirectional: `8·2·n²` bytes); the spatially-pruned sparse backend
-/// holds `n = 10⁴` in ~33 MiB. This experiment times the facade end to end
+/// holds `n = 10⁴` in ~25 MiB. This experiment times each tier end to end
 /// (backend build + scheduling) on the seed-pinned uniform scaling family:
 ///
 /// * `dense` at `n = 2000` — the dense tier at its ceiling,
-/// * `sparse` (serial first-fit) and `parallel-sparse` (tile-sharded, 1 and
-///   8 threads) at `n = 10⁴`.
+/// * `sparse` (serial first-fit) and `parallel-sparse` (the facade's
+///   parallel tier, [`parallel_tier`](crate::tiers::parallel_tier), at 1 and
+///   8 threads) at `n = 10⁴`. Both build the default sparse backend, so the
+///   serial row is the like-for-like baseline of the parallel rows.
 ///
+/// The four rows run in [`E11_ROUNDS`] interleaved rounds and each reports
+/// its best round, so every side of [`tier_bounds`] is timed the same way.
 /// Every sparse-tier schedule is then validated class-by-class against the
 /// naive evaluator: the "non-conservative" column counts multi-member
 /// classes the exact checker rejects, and the experiment *asserts* it is
-/// zero — the sparse tier's conservativeness guarantee, measured rather
-/// than assumed. The two parallel runs are asserted identical (thread-count
+/// zero. The two parallel runs are asserted identical (thread-count
 /// determinism). Engine decisions (backend, bytes, budget) are recorded in
 /// the table's structured `engines` list, one per row.
 pub fn e11_backend_tiers() -> Table {
+    use crate::tiers::{non_conservative_classes, parallel_tier};
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
-    use oblisched::{parallel_first_fit, tile_shards};
-    use oblisched_instances::scaling_uniform_10k;
-    use oblisched_sinr::{GainMatrix, Schedule, SparseConfig, SparseGainMatrix};
+    use oblisched_instances::{scaling_uniform, scaling_uniform_10k};
+    use oblisched_sinr::{GainMatrix, SparseConfig, SparseGainMatrix};
 
     let p = params();
     let mut table = Table::new(
@@ -799,138 +900,87 @@ pub fn e11_backend_tiers() -> Table {
     );
     let mib = |bytes: usize| format!("{:.1}", bytes as f64 / (1024.0 * 1024.0));
 
-    // Dense tier at its ceiling: build the full matrix and color on it —
-    // n = 2000 is the largest size whose bidirectional matrix (61 MiB) still
-    // fits the facade's 64 MiB budget.
-    let inst2k = oblisched_instances::scaling_uniform(2000, 42);
+    // n = 2000 is the largest size whose bidirectional dense matrix (61 MiB)
+    // still fits the facade's 64 MiB budget; the sparse tiers run at 5x that.
+    let inst2k = scaling_uniform(2000, TIER_SEED);
     let eval2k = inst2k.evaluator(p, &ObliviousPower::SquareRoot);
-    let start = std::time::Instant::now();
-    let matrix = eval2k.view(Variant::Bidirectional).cached();
-    let dense_schedule = first_fit_coloring(&matrix);
-    let dense_ms = start.elapsed().as_secs_f64() * 1e3;
-    table.push_row(vec![
-        "dense".into(),
-        "2000".into(),
-        dense_schedule.num_colors().to_string(),
-        format!("{dense_ms:.0}"),
-        mib(GainMatrix::bytes_for(2000, 2)),
-        "-".into(),
-    ]);
-    table.push_engine(
-        "dense n=2000",
-        EngineStats {
-            backend: EngineBackend::Dense,
-            n: 2000,
-            ports: 2,
-            bytes: GainMatrix::bytes_for(2000, 2),
-            dense_bytes: GainMatrix::bytes_for(2000, 2),
-            budget: DEFAULT_MATRIX_BUDGET,
-        },
-    );
-
-    // Sparse tier at 5x the size: serial first-fit on the pruned backend,
-    // and the tile-sharded parallel scheduler (which prefers a slightly
-    // coarser cutoff and a larger shard slack).
-    let inst10k = scaling_uniform_10k(42);
+    let view2k = eval2k.view(Variant::Bidirectional);
+    let inst10k = scaling_uniform_10k(TIER_SEED);
     let eval = inst10k.evaluator(p, &ObliviousPower::SquareRoot);
     let view = eval.view(Variant::Bidirectional);
 
-    let start = std::time::Instant::now();
-    let sparse = SparseGainMatrix::build(&view, &SparseConfig::default());
-    let serial_schedule = first_fit_coloring(&sparse);
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-    let serial_bytes = sparse.bytes();
-
-    // The parallel scheduler prefers a coarser cutoff (the shared tier
-    // profile also used by the `sparse` bench); time serial first-fit on
-    // that same backend too, so the parallel speedup in this table is an
-    // apples-to-apples comparison.
-    let par_config = crate::tiers::parallel_tier_sparse_config();
-    let start = std::time::Instant::now();
-    let same_backend = SparseGainMatrix::build(&view, &par_config);
-    let serial_same_schedule = first_fit_coloring(&same_backend);
-    let serial_same_ms = start.elapsed().as_secs_f64() * 1e3;
-    let serial_same_bytes = same_backend.bytes();
-
-    let mut par_runs: Vec<(usize, Schedule, f64, usize)> = Vec::new();
-    for threads in [1usize, 8] {
-        let start = std::time::Instant::now();
-        let backend = SparseGainMatrix::build(
-            &view,
-            &SparseConfig {
-                build_threads: threads,
-                ..par_config
-            },
-        );
-        let shards = tile_shards(&inst10k, oblisched::DEFAULT_TARGET_SHARDS);
-        let schedule = parallel_first_fit(
-            &backend,
-            &shards,
-            &crate::tiers::parallel_tier_config(threads),
-        );
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        par_runs.push((threads, schedule, ms, backend.bytes()));
+    // Each tier returns its schedule and backend footprint; the backend is
+    // dropped inside the timed region, as the facade drops it.
+    type Tier<'a> = (&'a str, &'a dyn Fn() -> (Schedule, usize));
+    let tiers: [Tier; 4] = [
+        ("dense", &|| {
+            let matrix = view2k.cached();
+            (first_fit_coloring(&matrix), GainMatrix::bytes_for(2000, 2))
+        }),
+        ("sparse", &|| {
+            let sparse = SparseGainMatrix::build(&view, &SparseConfig::default());
+            (first_fit_coloring(&sparse), sparse.bytes())
+        }),
+        ("parallel-sparse (1t)", &|| {
+            let (backend, schedule) = parallel_tier(&view, 1);
+            (schedule, backend.bytes())
+        }),
+        ("parallel-sparse (8t)", &|| {
+            let (backend, schedule) = parallel_tier(&view, 8);
+            (schedule, backend.bytes())
+        }),
+    ];
+    let mut best_ms = [f64::INFINITY; 4];
+    let mut runs = Vec::new();
+    for _ in 0..E11_ROUNDS {
+        runs.clear();
+        for (best, (_, tier)) in best_ms.iter_mut().zip(&tiers) {
+            let start = std::time::Instant::now();
+            runs.push(tier());
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        }
     }
     assert_eq!(
-        par_runs[0].1, par_runs[1].1,
+        runs[2].0, runs[3].0,
         "parallel schedules must not depend on the thread count"
     );
 
-    // Conservativeness, measured: every multi-member class of every
-    // sparse-tier schedule must pass the naive evaluator.
-    let non_conservative = |schedule: &Schedule| -> usize {
-        crate::tiers::non_conservative_classes(&eval, Variant::Bidirectional, schedule)
-    };
-    let sparse_stats = |bytes: usize, ports: usize| EngineStats {
-        backend: EngineBackend::Sparse,
-        n: 10_000,
-        ports,
-        bytes,
-        dense_bytes: GainMatrix::bytes_for(10_000, 2),
-        budget: DEFAULT_MATRIX_BUDGET,
-    };
-    let serial_bad = non_conservative(&serial_schedule);
-    assert_eq!(serial_bad, 0, "sparse verdicts must be conservative");
-    table.push_row(vec![
-        "sparse".into(),
-        "10000".into(),
-        serial_schedule.num_colors().to_string(),
-        format!("{serial_ms:.0}"),
-        mib(serial_bytes),
-        serial_bad.to_string(),
-    ]);
-    table.push_engine(
-        "sparse n=10000 (default cutoff)",
-        sparse_stats(serial_bytes, sparse.ports()),
-    );
-    let serial_same_bad = non_conservative(&serial_same_schedule);
-    assert_eq!(serial_same_bad, 0, "sparse verdicts must be conservative");
-    table.push_row(vec![
-        "sparse (2e-3 cutoff)".into(),
-        "10000".into(),
-        serial_same_schedule.num_colors().to_string(),
-        format!("{serial_same_ms:.0}"),
-        mib(serial_same_bytes),
-        serial_same_bad.to_string(),
-    ]);
-    table.push_engine(
-        "sparse n=10000 (2e-3 cutoff)",
-        sparse_stats(serial_same_bytes, same_backend.ports()),
-    );
-    for (threads, schedule, ms, bytes) in &par_runs {
-        let bad = non_conservative(schedule);
-        assert_eq!(bad, 0, "parallel-sparse verdicts must be conservative");
+    for (((label, _), (schedule, bytes)), ms) in tiers.iter().zip(&runs).zip(best_ms) {
+        let (n, backend, bad) = if *label == "dense" {
+            (2000, EngineBackend::Dense, "-".to_string())
+        } else {
+            // Conservativeness, measured: every multi-member class of every
+            // sparse-tier schedule must pass the naive evaluator.
+            let bad = non_conservative_classes(&eval, Variant::Bidirectional, schedule);
+            assert_eq!(bad, 0, "{label}: sparse verdicts must be conservative");
+            (10_000, EngineBackend::Sparse, bad.to_string())
+        };
         table.push_row(vec![
-            format!("parallel-sparse ({threads}t)"),
-            "10000".into(),
+            (*label).into(),
+            n.to_string(),
             schedule.num_colors().to_string(),
             format!("{ms:.0}"),
             mib(*bytes),
-            bad.to_string(),
+            bad,
         ]);
         table.push_engine(
-            format!("parallel-sparse n=10000 ({threads}t)"),
-            sparse_stats(*bytes, same_backend.ports()),
+            format!("{label} n={n}"),
+            EngineStats {
+                backend,
+                n,
+                ports: 2,
+                bytes: *bytes,
+                dense_bytes: GainMatrix::bytes_for(n, 2),
+                budget: DEFAULT_MATRIX_BUDGET,
+            },
+        );
+    }
+
+    let [dense_ms, serial_ms, par1_ms, par8_ms] = best_ms;
+    if let Err(e) = tier_bounds(dense_ms, serial_ms, [par1_ms, par8_ms]) {
+        panic!(
+            "E11 acceptance: {e} (dense {dense_ms:.0} ms, serial sparse {serial_ms:.0} ms, \
+             parallel-sparse 1t {par1_ms:.0} ms / 8t {par8_ms:.0} ms)"
         );
     }
 
@@ -948,23 +998,16 @@ pub fn e11_backend_tiers() -> Table {
         GainMatrix::bytes_for(10_000, 2),
         DEFAULT_MATRIX_BUDGET
     ));
-    table.push_note("seed-pinned uniform scaling family (seed 42); wall time is backend build + scheduling (validation excluded, reported in the last column)");
+    table.push_note(format!("seed-pinned uniform scaling family (seed {TIER_SEED}); wall time is backend build + scheduling, best of {E11_ROUNDS} interleaved rounds (the facade's exact validation is excluded; the last column re-checks every class against the naive evaluator)"));
     table.push_note("non-conservative = multi-member classes the naive evaluator rejects (asserted zero: sparse verdicts are conservative)");
-    table.push_note("parallel rows: tile-sharded scheduling (64 shards, shard gain slack 3.0, sparse cutoff 2e-3, folded ports); 1t vs 8t schedules asserted identical");
-    table.push_note("the parallel speedup reads against the same-backend serial row (sparse 2e-3); on a single-core host the gain is the sharded probe-work reduction, extra threads pay off on multi-core hardware");
+    table.push_note("parallel rows: the parallel tier `Scheduler::solve` serves (default sparse backend built on the worker threads, 64 tile shards, shard gain slack 2.0); 1t vs 8t schedules asserted identical");
+    table.push_note(format!(
+        "acceptance (asserted): best parallel run beats dense by {:.2}x (need > 1x); 1t / 8t beat serial sparse on the same backend by {:.2}x / {:.2}x (need >= {PARALLEL_MIN_SPEEDUP}x)",
+        dense_ms / par1_ms.min(par8_ms),
+        serial_ms / par1_ms,
+        serial_ms / par8_ms
+    ));
     table
-}
-
-/// Validates a schedule against an instance/power pair — used by the harness
-/// to double-check each experiment's artefacts before reporting.
-pub fn check_schedule<M: MetricSpace>(
-    instance: &Instance<M>,
-    schedule: &Schedule,
-    power: ObliviousPower,
-    variant: Variant,
-) -> bool {
-    let eval = instance.evaluator(params(), &power);
-    schedule.validate(&eval, variant).is_ok()
 }
 
 #[cfg(test)]
@@ -1053,22 +1096,22 @@ mod tests {
     }
 
     #[test]
-    fn check_schedule_helper_detects_feasibility() {
-        let instance = nested_chain(6, 2.0);
-        let eval = instance.evaluator(params(), &ObliviousPower::SquareRoot);
-        let good = first_fit_coloring(&eval.view(Variant::Bidirectional));
-        assert!(check_schedule(
-            &instance,
-            &good,
-            ObliviousPower::SquareRoot,
-            Variant::Bidirectional
-        ));
-        let bad = Schedule::new(vec![0; 6]);
-        assert!(!check_schedule(
-            &instance,
-            &bad,
-            ObliviousPower::Uniform,
-            Variant::Bidirectional
-        ));
+    fn acceptance_bounds_reject_timings_that_break_them() {
+        // E9 and E10: the speedup factor is inclusive.
+        let e9 = |naive, engine| speedup_bound("e9", naive, engine, ENGINE_MIN_SPEEDUP);
+        assert!(e9(1000.0, 100.0).is_ok());
+        assert!(e9(999.0, 100.0).is_err());
+        let e10 = |full, dynamic| speedup_bound("e10", full, dynamic, CHURN_MIN_SPEEDUP);
+        assert!(e10(300.0, 100.0).is_ok());
+        assert!(e10(290.0, 100.0).is_err());
+        assert!(e10(f64::NAN, 100.0).is_err());
+        // E11: dense 400 ms, serial 1000 ms, parallel 1t / 8t.
+        assert!(tier_bounds(400.0, 1000.0, [350.0, 300.0]).is_ok());
+        // Best parallel run no faster than dense.
+        assert!(tier_bounds(300.0, 1000.0, [350.0, 300.0]).is_err());
+        // 1t or 8t under 2x of serial on the same backend.
+        assert!(tier_bounds(1000.0, 1000.0, [600.0, 300.0]).is_err());
+        assert!(tier_bounds(1000.0, 1000.0, [300.0, 600.0]).is_err());
+        assert!(tier_bounds(400.0, 1000.0, [f64::NAN, 300.0]).is_err());
     }
 }

@@ -17,8 +17,8 @@
 //! `PERF_FINGERPRINT_SALT` hook exists only so CI can prove the gate trips
 //! on a fingerprint change without actually breaking a schedule.
 
-use crate::tiers::{parallel_tier_config, parallel_tier_sparse_config, TIER_SEED};
-use oblisched::{first_fit_coloring, parallel_first_fit, tile_shards, DEFAULT_TARGET_SHARDS};
+use crate::tiers::{parallel_tier, TIER_SEED};
+use oblisched::first_fit_coloring;
 use oblisched_instances::{churn_uniform, churn_uniform_10k, scaling_uniform};
 use oblisched_server::session::fingerprint64;
 use oblisched_sinr::{
@@ -212,8 +212,8 @@ fn sparse_batch_case(n: usize, repeats: usize) -> PerfCase {
     })
 }
 
-/// `parallel_sparse_n{n}`: the parallel tier end to end — sparse build
-/// (tier profile, 8 build threads) plus tile-sharded parallel first-fit.
+/// `parallel_sparse_n{n}`: the parallel tier end to end, as the facade
+/// serves it — default sparse build plus tile-sharded parallel first-fit.
 fn parallel_sparse_case(n: usize, repeats: usize) -> PerfCase {
     let p = params();
     let instance = scaling_uniform(n, TIER_SEED);
@@ -223,15 +223,9 @@ fn parallel_sparse_case(n: usize, repeats: usize) -> PerfCase {
     // schedules are bit-for-bit identical for every thread count (pinned by
     // the determinism tests), so the suite is free to use however many cores
     // the box offers — including none to spare.
-    let config = SparseConfig {
-        build_threads: 0,
-        ..parallel_tier_sparse_config()
-    };
     timed_case(&format!("parallel_sparse_n{n}"), repeats, || {
         let start = Instant::now();
-        let backend = SparseGainMatrix::build(&view, &config);
-        let shards = tile_shards(&instance, DEFAULT_TARGET_SHARDS);
-        let schedule = parallel_first_fit(&backend, &shards, &parallel_tier_config(0));
+        let (_backend, schedule) = parallel_tier(&view, 0);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         (ms, schedule.num_colors(), schedule_fingerprint(&schedule))
     })

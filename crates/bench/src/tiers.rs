@@ -1,40 +1,49 @@
-//! Shared harness of the backend-tier measurements: the one tuning profile
-//! used by both experiment E11 and the `sparse` criterion bench, so the
-//! documented table and the CI assertions can never drift onto different
-//! configurations (the same convention the churn replay helpers establish
-//! for E10).
+//! Shared harness of the backend-tier measurements: the parallel tier as the
+//! facade runs it, used by both experiment E11 and the perf suite's
+//! `parallel_sparse_*` cases, so the documented table and the gated
+//! baseline time exactly what `Scheduler::solve` serves, minus its exact
+//! validation.
 
-use oblisched::ParallelConfig;
-use oblisched_sinr::{Evaluator, Schedule, SparseConfig, Variant};
+use oblisched::{parallel_first_fit, tile_shards, ParallelConfig, DEFAULT_TARGET_SHARDS};
+use oblisched_metric::{MetricSpace, PlanarMetric};
+use oblisched_sinr::feasibility::VariantView;
+use oblisched_sinr::{Evaluator, Schedule, SparseConfig, SparseGainMatrix, Variant};
 
 /// The seed every tier measurement pins its instances to.
 pub const TIER_SEED: u64 = 42;
 
-/// The sparse backend profile of the parallel tier: a slightly coarser
-/// cutoff than the serial default — the sharded scheduler re-validates
-/// through the engine anyway, and the cheaper backend is what lets it beat
-/// the dense engine's wall time.
-pub fn parallel_tier_sparse_config() -> SparseConfig {
-    SparseConfig {
-        cutoff_fraction: 2e-3,
-        ..SparseConfig::default()
-    }
-}
-
-/// The parallel-scheduler profile of the tier measurements: the default
-/// shard target with a larger gain slack (locally looser classes merge into
-/// fewer layers).
-pub fn parallel_tier_config(num_threads: usize) -> ParallelConfig {
-    ParallelConfig {
-        num_threads,
-        shard_gain_slack: 3.0,
-    }
+/// Runs the parallel tier exactly as `Scheduler::solve` runs a
+/// `SolveRequest::parallel(_, num_threads)` request above the dense budget:
+/// the default sparse backend built on `num_threads` threads, then
+/// tile-sharded first-fit with the default shard slack on `num_threads`
+/// workers (`0` = one per core). The facade's exact validation of every
+/// class is left to the caller: at `n = 10⁴` it costs about as much as the
+/// parallel first-fit itself, and the tier bounds time build plus
+/// scheduling. Returns the backend next to the schedule so callers can
+/// report its footprint and drop it outside their timed region.
+pub fn parallel_tier<M: MetricSpace + PlanarMetric>(
+    view: &VariantView<'_, '_, M>,
+    num_threads: usize,
+) -> (SparseGainMatrix, Schedule) {
+    let backend = SparseGainMatrix::build(
+        view,
+        &SparseConfig {
+            build_threads: num_threads,
+            ..SparseConfig::default()
+        },
+    );
+    let shards = tile_shards(view.evaluator().instance(), DEFAULT_TARGET_SHARDS);
+    let schedule = parallel_first_fit(
+        &backend,
+        &shards,
+        &ParallelConfig::with_threads(num_threads),
+    );
+    (backend, schedule)
 }
 
 /// Counts the multi-member classes of `schedule` that the naive evaluator
-/// rejects — the tier measurements' "non-conservative" column, asserted
-/// zero by E11 and the `sparse` bench alike.
-pub fn non_conservative_classes<M: oblisched_metric::MetricSpace>(
+/// rejects — E11's "non-conservative" column, asserted zero.
+pub fn non_conservative_classes<M: MetricSpace>(
     eval: &Evaluator<'_, M>,
     variant: Variant,
     schedule: &Schedule,
@@ -49,14 +58,27 @@ pub fn non_conservative_classes<M: oblisched_metric::MetricSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oblisched_instances::nested_chain;
+    use oblisched::scheduler::Scheduler;
+    use oblisched::solve::{PowerAssignment, SolveRequest};
+    use oblisched_instances::{nested_chain, scaling_uniform};
     use oblisched_sinr::{ObliviousPower, SinrParams};
 
     #[test]
-    fn profile_accessors_are_consistent() {
-        assert_eq!(parallel_tier_config(8).num_threads, 8);
-        assert!(parallel_tier_config(1).shard_gain_slack >= 1.0);
-        assert!(parallel_tier_sparse_config().cutoff_fraction > 0.0);
+    fn parallel_tier_schedules_what_the_facade_serves() {
+        let params = SinrParams::new(3.0, 1.0).unwrap();
+        let instance = scaling_uniform(600, TIER_SEED);
+        let eval = instance.evaluator(params, &ObliviousPower::SquareRoot);
+        let view = eval.view(Variant::Bidirectional);
+        let scheduler = Scheduler::new(params);
+        for threads in [1usize, 2] {
+            // A zero budget sends the facade to the sparse tier, as at the
+            // sizes E11 and the perf suite measure.
+            let request =
+                SolveRequest::parallel(PowerAssignment::SquareRoot, threads).with_matrix_budget(0);
+            let served = scheduler.solve(&instance, &request).unwrap();
+            let (_, schedule) = parallel_tier(&view, threads);
+            assert_eq!(schedule, served.schedule, "{threads} threads");
+        }
     }
 
     #[test]

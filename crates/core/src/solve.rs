@@ -244,12 +244,6 @@ impl SolveRequest {
         self.matrix_budget = Some(bytes);
         self
     }
-
-    /// Overrides the default sparse-backend configuration for this run.
-    pub fn with_sparse_config(mut self, config: SparseConfig) -> Self {
-        self.sparse = Some(config);
-        self
-    }
 }
 
 impl Default for SolveRequest {
