@@ -120,8 +120,9 @@ echo "==> experiment E10 (churn: incremental vs full reschedule)"
 cargo run -q -p oblisched_bench --bin experiments --release -- --exp e10
 
 echo "==> experiment E11 (backend tiers: dense vs sparse vs parallel-sparse)"
-# E11 asserts its tier bounds (parallel beats dense, >= 2x over serial
-# sparse), conservativeness and determinism; its table notes state them.
+# E11 asserts its tier bounds (parallel beats dense, serial sparse at most
+# 2x the 1t parallel run), conservativeness and determinism; its table
+# notes state them.
 cargo run -q -p oblisched_bench --bin experiments --release -- --exp e11
 
 echo "==> benchmark harness tests (release)"

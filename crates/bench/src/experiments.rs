@@ -156,9 +156,11 @@ pub const ENGINE_MIN_SPEEDUP: f64 = 10.0;
 /// per event.
 pub const CHURN_MIN_SPEEDUP: f64 = 3.0;
 
-/// E11's acceptance bound: each parallel-sparse run is at least this many
-/// times faster than serial first-fit on the same backend.
-pub const PARALLEL_MIN_SPEEDUP: f64 = 2.0;
+/// E11's acceptance bound: serial first-fit on the parallel tier's backend
+/// takes at most this many times as long as the one-thread parallel run.
+/// Both run the same sparse backend on one core, so the bound guards the
+/// serial engine's work per probe, not parallelism.
+pub const SERIAL_MAX_SLOWDOWN: f64 = 2.0;
 
 /// `Ok` when `fast_ms` is at least `factor` times faster than `slow_ms`; a
 /// NaN timing fails. E9 and E10 hold their acceptance bounds through it.
@@ -180,26 +182,30 @@ pub const E11_ROUNDS: usize = 7;
 /// E11's acceptance bounds over wall times: `dense_ms` is the dense tier at
 /// its `n = 2000` ceiling, `serial_ms` serial first-fit on the parallel
 /// tier's backend, and `par_ms` the 1- and 8-thread parallel runs at
-/// `n = 10⁴`. The best parallel run must beat the dense run, and each
-/// parallel run must be [`PARALLEL_MIN_SPEEDUP`]× faster than serial.
+/// `n = 10⁴`. The best parallel run must beat the dense run, and serial
+/// first-fit may take at most [`SERIAL_MAX_SLOWDOWN`]× the one-thread
+/// parallel run. No thread-scaling bound is asserted.
 pub fn tier_bounds(dense_ms: f64, serial_ms: f64, par_ms: [f64; 2]) -> Result<(), String> {
     let best = par_ms[0].min(par_ms[1]);
-    // Written so that a NaN timing fails the bound.
-    let beats_dense = best < dense_ms;
+    // Written so that a NaN timing fails the bound (`f64::min` skips a NaN
+    // operand, so each run is checked on its own too).
+    let beats_dense = best < dense_ms && par_ms.iter().all(|ms| !ms.is_nan());
     if !beats_dense {
         return Err(format!(
             "best parallel-sparse run ({best:.1} ms) must beat dense n=2000 ({dense_ms:.1} ms)"
         ));
     }
-    for (threads, ms) in [(1, par_ms[0]), (8, par_ms[1])] {
-        speedup_bound(
-            &format!("parallel-sparse ({threads}t) vs serial sparse on the same backend"),
-            serial_ms,
-            ms,
-            PARALLEL_MIN_SPEEDUP,
-        )?;
+    // Written so that a NaN timing fails the bound.
+    if serial_ms <= SERIAL_MAX_SLOWDOWN * par_ms[0] {
+        Ok(())
+    } else {
+        Err(format!(
+            "serial sparse vs parallel-sparse (1t) on the same backend: {:.2}x \
+             ({serial_ms:.1} ms vs {:.1} ms), need <= {SERIAL_MAX_SLOWDOWN}x",
+            serial_ms / par_ms[0],
+            par_ms[0]
+        ))
     }
-    Ok(())
 }
 
 /// E1 — Theorem 1: Ω(n) vs O(1) on adversarial directed instances.
@@ -1002,11 +1008,11 @@ pub fn e11_backend_tiers() -> Table {
     table.push_note("non-conservative = multi-member classes the naive evaluator rejects (asserted zero: sparse verdicts are conservative)");
     table.push_note("parallel rows: the parallel tier `Scheduler::solve` serves (default sparse backend built on the worker threads, 64 tile shards, shard gain slack 2.0); 1t vs 8t schedules asserted identical");
     table.push_note(format!(
-        "acceptance (asserted): best parallel run beats dense by {:.2}x (need > 1x); 1t / 8t beat serial sparse on the same backend by {:.2}x / {:.2}x (need >= {PARALLEL_MIN_SPEEDUP}x)",
+        "acceptance (asserted): best parallel run beats dense by {:.2}x (need > 1x); serial sparse takes {:.2}x the 1t parallel run on the same backend (need <= {SERIAL_MAX_SLOWDOWN}x)",
         dense_ms / par1_ms.min(par8_ms),
-        serial_ms / par1_ms,
-        serial_ms / par8_ms
+        serial_ms / par1_ms
     ));
+    table.push_note("no thread-scaling bound is asserted: the 1t and 8t rows share a host whose effective core count varies, and a scaling claim needs a calibration of the cores the run actually got");
     table
 }
 
@@ -1105,13 +1111,18 @@ mod tests {
         assert!(e10(300.0, 100.0).is_ok());
         assert!(e10(290.0, 100.0).is_err());
         assert!(e10(f64::NAN, 100.0).is_err());
-        // E11: dense 400 ms, serial 1000 ms, parallel 1t / 8t.
-        assert!(tier_bounds(400.0, 1000.0, [350.0, 300.0]).is_ok());
+        // E11: dense 400 ms, serial 600 ms, parallel 1t / 8t.
+        assert!(tier_bounds(400.0, 600.0, [350.0, 300.0]).is_ok());
         // Best parallel run no faster than dense.
-        assert!(tier_bounds(300.0, 1000.0, [350.0, 300.0]).is_err());
-        // 1t or 8t under 2x of serial on the same backend.
-        assert!(tier_bounds(1000.0, 1000.0, [600.0, 300.0]).is_err());
-        assert!(tier_bounds(1000.0, 1000.0, [300.0, 600.0]).is_err());
-        assert!(tier_bounds(400.0, 1000.0, [f64::NAN, 300.0]).is_err());
+        assert!(tier_bounds(300.0, 600.0, [350.0, 300.0]).is_err());
+        // Serial at most 2x the 1t run, inclusive; the 8t run is not bounded.
+        assert!(tier_bounds(400.0, 700.0, [350.0, 300.0]).is_ok());
+        assert!(tier_bounds(400.0, 701.0, [350.0, 300.0]).is_err());
+        assert!(tier_bounds(400.0, 600.0, [350.0, 100.0]).is_ok());
+        // The serial engine that scanned every class in member order: 2.26x.
+        assert!(tier_bounds(1000.0, 2260.0, [1000.0, 700.0]).is_err());
+        assert!(tier_bounds(400.0, 600.0, [f64::NAN, 300.0]).is_err());
+        assert!(tier_bounds(400.0, 600.0, [350.0, f64::NAN]).is_err());
+        assert!(tier_bounds(400.0, f64::NAN, [350.0, 300.0]).is_err());
     }
 }

@@ -66,6 +66,14 @@ impl FirstFitScratch {
 /// while producing bit-for-bit identical schedules (classes where the batch
 /// does not apply fall back to the sequential probe internally).
 ///
+/// A class that passes the candidate-side probe then checks its members
+/// one lookup each, starting with the member that rejected its last
+/// failed admit. Most probes that reach the member side are rejected, and
+/// usually by that same member, so a rejected probe typically costs `O(1)`
+/// member lookups, an accepted one `O(class)` plus the `O(class)` commit. The
+/// per-item cost is therefore dominated by the row walk and the class
+/// count, not by the class sizes.
+///
 /// # Panics
 ///
 /// Panics (in debug builds) if `items` contains a duplicate.

@@ -25,10 +25,13 @@
 //!   bit-for-bit identical for every thread count (pinned by the 1-vs-2-vs-8
 //!   threads test in `tests/parallel_determinism.rs`).
 //!
-//! Sharding also helps on a single core: probing only a shard's own classes
-//!   keeps the quadratic first-fit work at `O(Σ n_s²)` instead of `O(n²)`,
-//!   which is why `parallel_first_fit` with one thread already beats plain
-//!   first-fit on large instances.
+//! Sharding is not a single-core speedup. Probing only a shard's own classes
+//! bounds the number of classes an item is offered to, but serial first-fit
+//! already pays `O(1)` member lookups for most rejected probes (see
+//! [`first_fit_into`]), and on one thread `parallel_first_fit` runs about as
+//! fast as serial first-fit on the same backend (experiment E11) while its
+//! shard-local classes cost colors at the merge. The tier is for worker
+//! threads.
 
 use crate::greedy::{first_fit_into, FirstFitScratch};
 use oblisched_metric::PlanarMetric;

@@ -565,6 +565,12 @@ pub struct ColorAccumulator<'s, S: ?Sized> {
     removals: usize,
     /// Drift guard threshold: rebuild exactly after this many removals.
     rebuild_interval: usize,
+    /// Position of the member that last hard-failed an admit: the member
+    /// scan tests it first (see
+    /// [`admit_with_candidate`](ColorAccumulator::admit_with_candidate)).
+    /// Purely a scan-order hint — a stale or out-of-range position is
+    /// harmless.
+    last_reject: usize,
 }
 
 // Manual impl: the derive would demand `S: Clone`, but the accumulator only
@@ -580,6 +586,7 @@ impl<S: ?Sized> Clone for ColorAccumulator<'_, S> {
             in_class: self.in_class.clone(),
             removals: self.removals,
             rebuild_interval: self.rebuild_interval,
+            last_reject: self.last_reject,
         }
     }
 }
@@ -602,6 +609,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
             in_class,
             removals: 0,
             rebuild_interval: DEFAULT_REBUILD_INTERVAL,
+            last_reject: 0,
         }
     }
 
@@ -653,6 +661,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
             bits.fill(0);
         }
         self.removals = 0;
+        self.last_reject = 0;
     }
 
     /// Rebinds a recycled accumulator to `system` and empties it, keeping
@@ -678,6 +687,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         self.sums.clear();
         self.drops.clear();
         self.removals = 0;
+        self.last_reject = 0;
         if system.is_exact() {
             self.in_class = None;
         } else {
@@ -924,6 +934,21 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// borderline verdicts via the strict recheck when the backend requests
     /// it, and commits on acceptance. Returns `true` on success; on failure
     /// the accumulator is left untouched.
+    ///
+    /// The member side is an AND over independent per-member predicates: a
+    /// hard failure rejects, and a borderline member (strict mode only) only
+    /// defers to the exact recheck, which runs when no member hard-fails. So
+    /// the verdict does not depend on the order the members are visited in.
+    /// Each visit costs one
+    /// [`stored_contribution`](GainBackend::stored_contribution) lookup per
+    /// port (a binary search in the member's row for sparse backends), and a
+    /// rejected first-fit probe used to visit most of the class before
+    /// reaching its failing member. The scan therefore starts at the member
+    /// that hard-failed this class's last rejected admit — in first-fit
+    /// consecutive items tend to be rejected by the same fragile member —
+    /// and then visits the others in order, so a repeated reject costs
+    /// `O(1)` lookups instead of `O(members)`. An accept still visits every
+    /// member once, and commits cost `O(members)` as before.
     fn admit_with_candidate(
         &mut self,
         i: usize,
@@ -951,28 +976,16 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
             }
             borderline = true;
         }
-        for (pos, &j) in self.members.iter().enumerate() {
-            let mut raw = [0.0f64; MAX_PORTS];
-            let mut member_padded = [0.0f64; MAX_PORTS];
-            for port in 0..self.ports {
-                let slot = pos * self.ports + port;
-                let (add, extra) = match self.system.stored_contribution(j, port, i) {
-                    Some(v) => (v, 0),
-                    None => (0.0, 1),
-                };
-                raw[port] = self.sums[slot] + add;
-                member_padded[port] = raw[port] + self.pad(j, port, self.drops[slot] + extra);
-            }
-            let signal_j = self.system.signal(j);
-            let member_ok =
-                sinr_from_ports(signal_j, &member_padded[..self.ports], noise) >= threshold;
-            if !member_ok {
-                let optimistic_ok =
-                    sinr_from_ports(signal_j, &raw[..self.ports], noise) >= threshold;
-                if !strict || !optimistic_ok {
+        let first = self.last_reject;
+        let head = (first < self.members.len()).then_some(first);
+        let rest = (0..self.members.len()).filter(|&pos| pos != first);
+        for pos in head.into_iter().chain(rest) {
+            match self.member_verdict(pos, i, threshold, noise, strict) {
+                Some(member_borderline) => borderline |= member_borderline,
+                None => {
+                    self.last_reject = pos;
                     return false;
                 }
-                borderline = true;
             }
         }
         if borderline && !self.exact_recheck(i, threshold) {
@@ -980,6 +993,40 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         }
         self.commit(i, cand, cand_drops);
         true
+    }
+
+    /// The verdict of the member at `pos` if `i` joined the class: `None`
+    /// when it fails (for strict backends: fails even without the pruning
+    /// pad), `Some(true)` when it is borderline (strict backends only:
+    /// rejected with the pad, accepted without it) and `Some(false)` when it
+    /// passes.
+    #[inline]
+    fn member_verdict(
+        &self,
+        pos: usize,
+        i: usize,
+        threshold: f64,
+        noise: f64,
+        strict: bool,
+    ) -> Option<bool> {
+        let j = self.members[pos];
+        let mut raw = [0.0f64; MAX_PORTS];
+        let mut padded = [0.0f64; MAX_PORTS];
+        for port in 0..self.ports {
+            let slot = pos * self.ports + port;
+            let (add, extra) = match self.system.stored_contribution(j, port, i) {
+                Some(v) => (v, 0),
+                None => (0.0, 1),
+            };
+            raw[port] = self.sums[slot] + add;
+            padded[port] = raw[port] + self.pad(j, port, self.drops[slot] + extra);
+        }
+        let signal_j = self.system.signal(j);
+        if sinr_from_ports(signal_j, &padded[..self.ports], noise) >= threshold {
+            return Some(false);
+        }
+        (strict && sinr_from_ports(signal_j, &raw[..self.ports], noise) >= threshold)
+            .then_some(true)
     }
 
     /// Settles a borderline verdict by refolding the would-be class
